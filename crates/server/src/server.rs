@@ -2032,23 +2032,25 @@ impl TrustedServer {
         self.journal.as_mut().expect("checked").append(&record);
     }
 
-    /// Hands out one concurrently usable [`ShardHandle`] per shard, for a
-    /// parallel per-vehicle phase between [`TrustedServer::begin_tick`] and
-    /// [`TrustedServer::merge_shard_journals`].  The handles buffer their
+    /// Hands out one concurrently usable [`ShardHandle`] per shard, in shard
+    /// order, for a per-vehicle phase between [`TrustedServer::begin_tick`]
+    /// and [`TrustedServer::merge_shard_journals`].  The handles buffer their
     /// journal records in their shards; nothing touches the journal itself,
-    /// so the borrow of `self` ends before the fan-out.
-    pub fn shard_handles(&self) -> Vec<ShardHandle> {
+    /// so the handles outlive the borrow of `self`.  Each handle captures
+    /// whether the server journals *now*: take fresh handles every round.
+    /// The iterator allocates nothing, so a single-shard fleet can take its
+    /// handle every round for free.
+    pub fn shard_handles(&self) -> impl Iterator<Item = ShardHandle> + '_ {
         let journaling = self.journal.is_some();
         self.shards
             .iter()
             .enumerate()
-            .map(|(index, shard)| ShardHandle {
+            .map(move |(index, shard)| ShardHandle {
                 index,
                 shard: Arc::clone(shard),
                 shared: Arc::clone(&self.shared),
                 journaling,
             })
-            .collect()
     }
 
     /// Drains every shard's buffered journal records into the journal, in
@@ -2057,6 +2059,14 @@ impl TrustedServer {
     /// own shard's buffer (per-vehicle order is preserved exactly) and
     /// records of different vehicles commute.  No-op (beyond clearing the
     /// buffers) while journaling is off.
+    ///
+    /// The merge never compacts, not even once it is done: compaction stays
+    /// where `journal_append` does it, before the next
+    /// journaled call (at the latest the next round's
+    /// [`TrustedServer::begin_tick`]), when every merged record is in the
+    /// journal and the snapshot captures exactly what they replay to.  A
+    /// snapshot taken mid-merge would capture later shards' effects ahead of
+    /// their records.
     pub fn merge_shard_journals(&mut self) {
         if self.journal.is_none() {
             for shard in &self.shards {
@@ -2071,12 +2081,6 @@ impl TrustedServer {
         let journal = self.journal.as_mut().expect("checked");
         for record in &merged {
             journal.append(record);
-        }
-        // Compact only after the whole merge: a mid-merge snapshot would
-        // capture later shards' effects ahead of their records.
-        if self.journal.as_ref().expect("checked").due_for_compaction() {
-            let snapshot = self.snapshot_value();
-            self.journal.as_mut().expect("checked").compact(snapshot);
         }
     }
 
@@ -2908,8 +2912,9 @@ impl ShardHandle {
         let result = {
             let mut shard = self.shard.lock();
             if self.journaling {
-                // Journal-first, like the serial path: even a rejected uplink
-                // is recorded (it replays to the same rejection).
+                // Journal-first, like `TrustedServer::process_uplink`: even
+                // a rejected uplink is recorded (it replays to the same
+                // rejection).
                 shard.journal_buf.push(JournalRecord::ProcessUplink(
                     vehicle.clone(),
                     payload.to_vec(),

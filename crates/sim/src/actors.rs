@@ -385,7 +385,13 @@ fn server_actor(
 
 /// One transport pump: downlinks out, transport stepped, dropped-destination
 /// feedback applied, uplinks in.  The mirror of the transport phases of
-/// `Fleet::step`, under one transport lock.
+/// [`crate::fleet::Fleet::step`], under one transport lock.
+///
+/// It stays a separate loop on purpose.  The fleet round is per shard (one
+/// hub per server shard) and steps the vehicles between the push and the
+/// uplink; the pump serves every server shard through one transport and has
+/// no vehicle phase (the vehicles run on their own threads).  Sharing the
+/// per-shard round would make it branch on which runtime runs it.
 #[allow(clippy::too_many_arguments)]
 fn pump(
     server: &mut TrustedServer,

@@ -1,38 +1,38 @@
-//! The fleet scheduler: many vehicles driven through one trusted server in
+//! The fleet scheduler: vehicles driven through one trusted server in
 //! batched simulation rounds.
 //!
-//! [`crate::world::World`] couples exactly one [`Vehicle`] to the server —
-//! enough for the paper's demonstrators, useless for federated-scale
-//! questions ("what happens when an install wave hits 50 vehicles whose
-//! signal chains are live?").  [`Fleet`] lifts the same pusher/uplink loop to
-//! N vehicles: one shared [`TrustedServer`], an external transport hub with a
-//! per-vehicle ECM endpoint, per-vehicle clocks (each [`Vehicle`] keeps its
-//! own), and a batched round that moves every vehicle one tick forward per
-//! [`Fleet::step`].
+//! [`Fleet`] couples N vehicles — or just one, for the paper's demonstrators
+//! ([`Fleet::with_hub`]) — to one shared [`TrustedServer`] over an external
+//! transport with a per-vehicle ECM endpoint.  Each [`Vehicle`] keeps its own
+//! clock, and every [`Fleet::step`] moves every vehicle one tick forward in
+//! the **federation round**: the server pushes installation packages through
+//! each vehicle's ECM, the transport delivers, the vehicles run, and their
+//! acknowledgements flow back into the server.
 //!
 //! Deployments can be staged in **install waves** ([`Fleet::deploy_wave`],
 //! [`Fleet::install_in_waves`]) so reconfiguration load is spread over the
 //! fleet instead of arriving everywhere at once.
 //!
-//! # Sharded parallel rounds
+//! # One round at every shard count
 //!
 //! The fleet is partitioned exactly like its server: each vehicle hashes to
 //! the server shard given by [`TrustedServer::shard_index`], and the fleet
-//! keeps one [`FleetShard`] — entries, endpoint indexes, scratch buffers —
+//! keeps one `FleetShard` — entries, endpoint indexes, scratch buffers —
 //! plus one **private transport hub** per server shard, so parallel workers
-//! never serialize on a single hub lock.  With more than one shard,
-//! [`Fleet::step`] fans the per-vehicle phase (reliability tick, downlink
-//! push, transport step, vehicle step, uplink processing) out over a fixed
-//! [`ThreadPool`] via [`dynar_server::server::ShardHandle`]s; the journal
-//! records each shard buffered are then merged in deterministic shard order
-//! ([`TrustedServer::merge_shard_journals`]), so a journaled parallel run
-//! replays byte-identically.  A single-shard fleet takes a dedicated serial
-//! path that preserves the allocation-free steady state pinned by
-//! `tests/alloc_regression.rs`.
+//! never serialize on a single hub lock.  The round is written once, as the
+//! per-shard slice `step_shard` over a
+//! [`dynar_server::server::ShardHandle`]: reliability tick, downlink push,
+//! transport step, vehicle steps, uplink processing.  A single-shard fleet
+//! runs that slice inline (allocation-free in the steady state, as
+//! `tests/alloc_regression.rs` pins down); more shards fan it out over a
+//! fixed [`ThreadPool`].  Either way the journal records the shards buffered
+//! are merged in deterministic shard order
+//! ([`TrustedServer::merge_shard_journals`]) before the campaign gates run,
+//! so a journaled run replays byte-identically at any shard count.
 //!
-//! Both paths drain downlinks through the server's **dirty set**
-//! ([`TrustedServer::poll_downlink_dirty`]): a management-quiescent tick
-//! visits zero vehicles instead of polling all N.
+//! Downlinks drain through the server's **dirty set**
+//! ([`ShardHandle::poll_downlink_dirty`]): a management-quiescent tick visits
+//! zero vehicles instead of polling all N.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,15 +149,35 @@ struct FleetShard {
     offline_scratch: Vec<VehicleId>,
 }
 
-/// What one shard's worker hands back from its slice of a parallel round.
+/// What one shard's slice of a round hands back, folded into the round's
+/// totals in shard order.
+#[derive(Default)]
 struct ShardOutcome {
-    shard: FleetShard,
     downlink_messages: u64,
     uplink_messages: u64,
     downlink_polls: u64,
     retry_failures: Vec<RetryFailure>,
+    /// The shard's first vehicle step error, in entry order.
     error: Option<DynarError>,
 }
+
+impl ShardOutcome {
+    /// Folds the outcome of a later shard into this one: counters add up,
+    /// failures concatenate and the earlier error wins.
+    fn absorb(&mut self, later: ShardOutcome) {
+        self.downlink_messages += later.downlink_messages;
+        self.uplink_messages += later.uplink_messages;
+        self.downlink_polls += later.downlink_polls;
+        self.retry_failures.extend(later.retry_failures);
+        if self.error.is_none() {
+            self.error = later.error;
+        }
+    }
+}
+
+/// One shard's slice of a round as a worker-pool task: it takes the shard's
+/// vehicles out of the fleet and hands them back with the outcome.
+type ShardTask = Box<dyn FnOnce() -> (FleetShard, ShardOutcome) + Send>;
 
 /// A fleet of vehicles federated through one trusted server.
 #[derive(Debug)]
@@ -174,8 +194,8 @@ pub struct Fleet {
     ids: Vec<VehicleId>,
     /// Position of each vehicle in `ids` (kept in sync across swap-removes).
     ids_at: HashMap<VehicleId, usize>,
-    /// Fixed worker pool driving parallel rounds; absent for single-shard
-    /// fleets, which take the serial path.
+    /// Fixed worker pool driving sharded rounds; absent for single-shard
+    /// fleets, whose round runs inline.
     pool: Option<ThreadPool>,
     clock: Clock,
     stats: FleetStats,
@@ -342,6 +362,10 @@ impl Fleet {
     /// endpoint.  The vehicle's ECM must have registered on the hub of the
     /// vehicle's shard ([`Fleet::hub_for`]).
     ///
+    /// Joining mid-run is safe: the hub's slot generations guarantee that
+    /// traffic in flight towards a previous tenant of a reused slot is
+    /// dropped, never delivered to the newcomer.
+    ///
     /// # Errors
     ///
     /// Returns [`DynarError::Duplicate`] if the id or endpoint is taken.
@@ -375,25 +399,6 @@ impl Fleet {
             vehicle,
         });
         Ok(())
-    }
-
-    /// Adds a vehicle while the fleet is running.  Identical to
-    /// [`Fleet::add_vehicle`] — named separately to document that joining
-    /// mid-run is safe: the vehicle's ECM already registered its endpoint on
-    /// its shard's hub, whose slot generations guarantee that traffic in
-    /// flight towards a previous tenant of a reused slot is dropped, never
-    /// delivered to the newcomer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::Duplicate`] if the id or endpoint is taken.
-    pub fn add_vehicle_during_run(
-        &mut self,
-        id: VehicleId,
-        ecm_endpoint: impl Into<String>,
-        vehicle: Vehicle,
-    ) -> Result<()> {
-        self.add_vehicle(id, ecm_endpoint, vehicle)
     }
 
     /// Removes a vehicle for good: its endpoint is unregistered from its
@@ -504,157 +509,74 @@ impl Fleet {
         &self.stats
     }
 
-    /// Advances the whole fleet by one batched round: server downlinks reach
-    /// every vehicle's ECM endpoint, the transport delivers, every vehicle
-    /// runs one tick, and uplink acknowledgements flow back into the server.
-    /// With more than one shard the round runs shard-parallel on the worker
-    /// pool; the effects (and the journal) are the same either way.
+    /// Advances the whole fleet by one batched round — the federation round,
+    /// the only one the simulator has.  The server journals the tick, then
+    /// every shard runs its slice of the round through its
+    /// [`ShardHandle`] and private hub: retransmission sweep, dirty downlink
+    /// push, parking of vehicles whose link is gone, transport step, vehicle
+    /// steps, uplink processing.  A single-shard fleet runs its slice inline
+    /// on the caller's thread; more shards fan out over the worker pool.
+    /// The shards' journal records are then merged in shard order and the
+    /// campaign gates evaluate the state the round settled into.  The effects
+    /// and the journal are the same at every shard count.
+    ///
+    /// A failing vehicle step does not cut the round short: the other
+    /// vehicles still step, the uplinks are still processed, and the journal
+    /// merge and campaign gates still run.  The round counts as executed.
     ///
     /// # Errors
     ///
-    /// Propagates the first vehicle step error.
+    /// Returns the first vehicle step error of the round, in shard order and
+    /// then in entry order within the shard.
     pub fn step(&mut self) -> Result<()> {
         let now = self.clock.step();
-        if self.shards.len() > 1 {
-            self.step_parallel(now)?;
-        } else {
-            self.step_serial(now)?;
-        }
-        self.stats.ticks += 1;
-        Ok(())
-    }
-
-    /// The single-shard round: the original serial pusher/uplink loop with
-    /// dirty-set downlink polling.  Steady-state ticks stay allocation-free.
-    fn step_serial(&mut self, now: Tick) -> Result<()> {
-        let Fleet {
-            server,
-            hubs,
-            shards,
-            server_endpoint,
-            stats,
-            ..
-        } = self;
-        let shard = &mut shards[0];
-
-        // Reliability plane: requeue overdue packages, escalate dead ones.
-        stats.record_failures(server.tick(now));
-
-        // Pusher: queued downlink messages leave the server, batched under a
-        // single hub lock.  Destination feedback flows straight back into the
-        // server's lifecycle plane: a send into an unregistered endpoint, or
-        // an in-flight message dropped because the endpoint unregistered
-        // mid-flight, parks the vehicle (mark_offline) instead of letting the
-        // retry budget burn against a dead link.
-        let mut offline = std::mem::take(&mut shard.offline_scratch);
-        {
-            let mut hub = hubs[0].lock();
-            let entries = &shard.entries;
-            let by_id = &shard.by_id;
-            let polls = server.poll_downlink_dirty(|vehicle, payload| {
-                stats.downlink_messages += 1;
-                let Some(&index) = by_id.get(vehicle) else {
-                    return;
-                };
-                if hub
-                    .send(server_endpoint.as_str(), &entries[index].endpoint, payload)
-                    .is_err()
-                {
-                    offline.push(vehicle.clone());
-                }
-            });
-            stats.downlink_polls += polls;
-            for vehicle in offline.drain(..) {
-                server.mark_offline(&vehicle);
-            }
-            hub.step(now);
-            for endpoint in hub.take_dropped_destinations() {
-                // A drop towards a *currently registered* endpoint is stale
-                // traffic from before a reboot (the slot generation voided
-                // it) — the new incarnation's link is alive, so parking the
-                // vehicle would strand it.  Only an endpoint that is really
-                // gone parks its vehicle.
-                if hub.is_registered(endpoint.as_ref()) {
-                    continue;
-                }
-                if let Some(&index) = shard.by_endpoint.get(endpoint.as_ref()) {
-                    server.mark_offline(&shard.entries[index].id);
-                }
-            }
-        }
-        shard.offline_scratch = offline;
-
-        for entry in &mut shard.entries {
-            entry.vehicle.step()?;
-        }
-
-        // Uplink: acknowledgements back into the server, attributed to the
-        // sending vehicle through its ECM endpoint.  The mailbox drains into
-        // a reused buffer — a quiet tick allocates nothing.
-        let mut uplinks = std::mem::take(&mut shard.uplink_scratch);
-        debug_assert!(uplinks.is_empty());
-        hubs[0].lock().drain_into(server_endpoint, &mut uplinks);
-        for (from, payload) in uplinks.drain(..) {
-            if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
-                stats.uplink_messages += 1;
-                let _ = server.process_uplink(&shard.entries[index].id, &payload);
-            }
-        }
-        shard.uplink_scratch = uplinks;
-
-        // Campaign plane: health gates evaluate against the state this round
-        // settled into (acknowledgements processed above), and the decisions
-        // are journaled at this same point in the record stream.
-        let _ = server.step_campaigns();
-        Ok(())
-    }
-
-    /// The sharded round: the tick is journaled up front, every shard's
-    /// slice runs on the worker pool through its [`ShardHandle`] and private
-    /// hub, and the per-shard journal buffers are merged in shard order
-    /// afterwards — the same record sequence a serial run would have written.
-    fn step_parallel(&mut self, now: Tick) -> Result<()> {
         self.server.begin_tick(now);
-        let mut tasks: Vec<Box<dyn FnOnce() -> ShardOutcome + Send>> =
-            Vec::with_capacity(self.shards.len());
-        for handle in self.server.shard_handles() {
-            let shard = std::mem::take(&mut self.shards[handle.index()]);
-            let hub = Arc::clone(&self.hubs[handle.index()]);
-            let server_endpoint = self.server_endpoint.clone();
-            tasks.push(Box::new(move || {
-                step_shard(&handle, shard, &hub, &server_endpoint, now)
-            }));
-        }
-        let outcomes = self
-            .pool
-            .as_ref()
-            .expect("multi-shard fleet has a worker pool")
-            .run(tasks);
-
-        let mut first_error = None;
-        let mut failures = Vec::new();
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            self.shards[index] = outcome.shard;
-            self.stats.downlink_messages += outcome.downlink_messages;
-            self.stats.uplink_messages += outcome.uplink_messages;
-            self.stats.downlink_polls += outcome.downlink_polls;
-            failures.extend(outcome.retry_failures);
-            if first_error.is_none() {
-                first_error = outcome.error;
+        let mut round = ShardOutcome::default();
+        let slices = self
+            .server
+            .shard_handles()
+            .zip(&mut self.shards)
+            .zip(&self.hubs);
+        match &self.pool {
+            // Inline: no task boxes, no handle list — a quiescent round
+            // allocates nothing.
+            None => {
+                for ((handle, shard), hub) in slices {
+                    round.absorb(step_shard(&handle, shard, hub, &self.server_endpoint, now));
+                }
+            }
+            Some(pool) => {
+                let tasks: Vec<ShardTask> = slices
+                    .map(|((handle, shard), hub)| -> ShardTask {
+                        let mut shard = std::mem::take(shard);
+                        let hub = Arc::clone(hub);
+                        let server_endpoint = self.server_endpoint.clone();
+                        Box::new(move || {
+                            let outcome =
+                                step_shard(&handle, &mut shard, &hub, &server_endpoint, now);
+                            (shard, outcome)
+                        })
+                    })
+                    .collect();
+                for (slot, (shard, outcome)) in self.shards.iter_mut().zip(pool.run(tasks)) {
+                    *slot = shard;
+                    round.absorb(outcome);
+                }
             }
         }
-        // One batch per round, like the serial path: `record_failures` sorts
-        // it, so the retained events match the serial run's exactly.
-        self.stats.record_failures(failures);
+
+        self.stats.ticks += 1;
+        self.stats.downlink_messages += round.downlink_messages;
+        self.stats.uplink_messages += round.uplink_messages;
+        self.stats.downlink_polls += round.downlink_polls;
+        // One batch per round: `record_failures` sorts it, so the retained
+        // events are the same at every shard count.
+        self.stats.record_failures(round.retry_failures);
         self.server.merge_shard_journals();
-        // Campaign decisions run (and journal) strictly after the shard
-        // merge — the serial point of the round, on converged state, exactly
-        // where the serial path evaluates them.
+        // Campaign decisions run (and journal) strictly after the merge, on
+        // the state the acknowledgements above settled into.
         let _ = self.server.step_campaigns();
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
+        round.error.map_or(Ok(()), Err)
     }
 
     /// Runs [`Fleet::step`] `ticks` times.
@@ -778,36 +700,40 @@ impl Fleet {
     }
 }
 
-/// One shard's slice of a parallel round: reliability tick, dirty downlink
+/// One shard's slice of a federation round: reliability tick, dirty downlink
 /// push onto the shard's private hub, transport step with dropped-destination
-/// feedback, vehicle steps, uplink processing.  Mirrors
-/// [`Fleet::step_serial`] exactly — per vehicle, the effect (and journal
-/// record) order is identical, which is what keeps a parallel journaled run
-/// replayable.
+/// feedback, vehicle steps, uplink processing.  Per vehicle, the effect (and
+/// journal record) order is the same at every shard count, which is what
+/// keeps a sharded journaled run replayable.
 fn step_shard(
     handle: &ShardHandle,
-    mut shard: FleetShard,
+    shard: &mut FleetShard,
     hub: &SharedHub,
     server_endpoint: &str,
     now: Tick,
 ) -> ShardOutcome {
-    let mut downlink_messages = 0;
-    let mut uplink_messages = 0;
-    let mut retry_failures = Vec::new();
-    handle.tick(now, &mut retry_failures);
+    let mut outcome = ShardOutcome::default();
+    // Reliability plane: requeue overdue packages, escalate dead ones.
+    handle.tick(now, &mut outcome.retry_failures);
 
+    // Pusher: queued downlink messages leave the server, batched under a
+    // single hub lock.  Destination feedback flows straight back into the
+    // server's lifecycle plane: a send into an unregistered endpoint, or an
+    // in-flight message dropped because the endpoint unregistered
+    // mid-flight, parks the vehicle (mark_offline) instead of letting the
+    // retry budget burn against a dead link.
     let mut offline = std::mem::take(&mut shard.offline_scratch);
-    let downlink_polls;
     {
-        let mut hub_guard = hub.lock();
+        let mut hub = hub.lock();
         let entries = &shard.entries;
         let by_id = &shard.by_id;
-        downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
-            downlink_messages += 1;
+        let downlink_messages = &mut outcome.downlink_messages;
+        outcome.downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
+            *downlink_messages += 1;
             let Some(&index) = by_id.get(vehicle) else {
                 return;
             };
-            if hub_guard
+            if hub
                 .send(server_endpoint, &entries[index].endpoint, payload)
                 .is_err()
             {
@@ -817,9 +743,14 @@ fn step_shard(
         for vehicle in offline.drain(..) {
             handle.mark_offline(&vehicle);
         }
-        hub_guard.step(now);
-        for endpoint in hub_guard.take_dropped_destinations() {
-            if hub_guard.is_registered(endpoint.as_ref()) {
+        hub.step(now);
+        for endpoint in hub.take_dropped_destinations() {
+            // A drop towards a *currently registered* endpoint is stale
+            // traffic from before a reboot (the slot generation voided it) —
+            // the new incarnation's link is alive, so parking the vehicle
+            // would strand it.  Only an endpoint that is really gone parks
+            // its vehicle.
+            if hub.is_registered(endpoint.as_ref()) {
                 continue;
             }
             if let Some(&index) = shard.by_endpoint.get(endpoint.as_ref()) {
@@ -829,33 +760,24 @@ fn step_shard(
     }
     shard.offline_scratch = offline;
 
-    let mut error = None;
     for entry in &mut shard.entries {
-        if let Err(step_error) = entry.vehicle.step() {
-            error = Some(step_error);
-            break;
+        if let Err(error) = entry.vehicle.step() {
+            outcome.error.get_or_insert(error);
         }
     }
 
-    if error.is_none() {
-        let mut uplinks = std::mem::take(&mut shard.uplink_scratch);
-        debug_assert!(uplinks.is_empty());
-        hub.lock().drain_into(server_endpoint, &mut uplinks);
-        for (from, payload) in uplinks.drain(..) {
-            if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
-                uplink_messages += 1;
-                let _ = handle.process_uplink(&shard.entries[index].id, &payload);
-            }
+    // Uplink: acknowledgements back into the server, attributed to the
+    // sending vehicle through its ECM endpoint.  The mailbox drains into a
+    // reused buffer — a quiet tick allocates nothing.
+    let mut uplinks = std::mem::take(&mut shard.uplink_scratch);
+    debug_assert!(uplinks.is_empty());
+    hub.lock().drain_into(server_endpoint, &mut uplinks);
+    for (from, payload) in uplinks.drain(..) {
+        if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
+            outcome.uplink_messages += 1;
+            let _ = handle.process_uplink(&shard.entries[index].id, &payload);
         }
-        shard.uplink_scratch = uplinks;
     }
-
-    ShardOutcome {
-        shard,
-        downlink_messages,
-        uplink_messages,
-        downlink_polls,
-        retry_failures,
-        error,
-    }
+    shard.uplink_scratch = uplinks;
+    outcome
 }

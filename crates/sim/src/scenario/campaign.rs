@@ -22,11 +22,14 @@
 //!   loss and vehicles rebooting mid-wave: rollback must converge through
 //!   the ordinary reconciliation loop against whatever the churn left.
 //!
-//! End-state guarantees (checked by [`CampaignScenario::verify_converged`]):
-//! every vehicle's server-observed state equals its desired manifest after a
-//! truth-resync round, the worker PIRTEs (ground truth) host exactly the
-//! plug-ins the manifest implies, and no PIRTE of any incarnation rejected a
-//! duplicate operation — rollbacks never double-apply.
+//! End-state guarantees (checked by
+//! [`FleetScenario::verify_ground_truth`]): every vehicle's server-observed
+//! state equals its desired manifest after a truth-resync round, the worker
+//! PIRTEs (ground truth) host exactly the plug-ins the manifest implies, and
+//! no PIRTE of any incarnation rejected a duplicate operation — rollbacks
+//! never double-apply.
+//!
+//! [`TrustedServer::create_campaign`]: dynar_server::server::TrustedServer::create_campaign
 
 use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
@@ -35,9 +38,11 @@ use dynar_server::campaign::{
     CampaignId, CampaignSpec, CampaignStatus, HealthGate, VehicleSelector, WavePlan,
 };
 use dynar_server::model::{AppDefinition, PluginArtifact, SwConf};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_server::server::RetryPolicy;
 
-use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY, FLEET_MODEL};
+use crate::scenario::fleet::{
+    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY, FLEET_MODEL,
+};
 
 /// The application a bad-version campaign tries to roll out: plug-in
 /// binaries that no PIRTE can parse.
@@ -75,7 +80,7 @@ pub struct CampaignScenarioConfig {
     /// are relative to the start of [`CampaignScenario::drive`]; indices
     /// refer to the initial registration order.
     pub reboots: Vec<(u64, usize)>,
-    /// Server shard count (1 = serial fleet tick).
+    /// Server shard count (1 = the round runs inline).
     pub shards: usize,
 }
 
@@ -234,15 +239,7 @@ impl CampaignScenario {
     /// Propagates fleet step errors; returns
     /// [`DynarError::ProtocolViolation`] if conservation is violated.
     pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
+        self.inner.step()
     }
 
     /// Converges the whole fleet on the v1 telemetry app through the desired
@@ -291,13 +288,13 @@ impl CampaignScenario {
         loop {
             let now = self.inner.fleet.now().as_u64();
             if now >= start + self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
+                return Err(horizon_exhausted(
+                    format!(
                         "campaign convergence within {} ticks",
                         self.config.max_ticks
                     ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
+                    now,
+                ));
             }
 
             let mut due = Vec::new();
@@ -315,15 +312,8 @@ impl CampaignScenario {
                 rebooted += 1;
             }
 
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&vehicle);
-                }
-            }
-
-            self.step()?;
+            self.inner.reconcile_sweep(self.config.reconcile_interval);
+            self.inner.step()?;
 
             let status = self
                 .inner
@@ -338,8 +328,8 @@ impl CampaignScenario {
             }
         }
 
-        self.truth_resync()?;
-        self.verify_converged()?;
+        self.inner.truth_resync()?;
+        self.inner.verify_ground_truth()?;
 
         let campaign = self
             .inner
@@ -364,12 +354,7 @@ impl CampaignScenario {
     /// Returns `true` when every vehicle reached exactly its desired
     /// manifest and nothing is pending or outstanding.
     pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && manifest_reached(server, id)
-        })
+        self.inner.fleet_converged()
     }
 
     /// Steps the fleet until `done` holds, bounded by the configured
@@ -378,131 +363,23 @@ impl CampaignScenario {
         loop {
             let now = self.inner.fleet.now().as_u64();
             if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!("convergence within {} ticks", self.config.max_ticks),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
+                return Err(horizon_exhausted(
+                    format!("convergence within {} ticks", self.config.max_ticks),
+                    now,
+                ));
             }
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&vehicle);
-                }
-            }
-            self.step()?;
+            self.inner.reconcile_sweep(self.config.reconcile_interval);
+            self.inner.step()?;
             if done(self) {
                 return Ok(());
             }
         }
     }
 
-    /// Asks every ECM for a state report and lets the resync path confirm
-    /// (or repair) the server's observed state; requests and reports travel
-    /// the same lossy links, so several rounds are issued.
-    fn truth_resync(&mut self) -> Result<()> {
-        for _ in 0..8 {
-            for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&vehicle);
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one: observed state equals the desired manifest, the
-    /// worker PIRTEs host exactly the plug-ins that manifest implies, and no
-    /// PIRTE rejected a duplicate operation (rollbacks never double-apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_converged(&self) -> Result<()> {
-        let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
-            let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a rollback \
-                         double-applied or a duplicate crossed the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|app| expected_plugin(app, *worker))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// The fleet-ops user driving the campaign.
     pub fn user(&self) -> &UserId {
         &self.inner.user
     }
-}
-
-/// `true` once `vehicle`'s server-side state equals its desired manifest.
-fn manifest_reached(server: &TrustedServer, vehicle: &VehicleId) -> bool {
-    let desired = server.desired_manifest(vehicle);
-    server.installed_apps(vehicle) == desired
-        && desired
-            .iter()
-            .all(|app| server.deployment_status(vehicle, app) == DeploymentStatus::Installed)
-}
-
-/// The plug-in id `app` places on `worker` (mirrors the fleet and bad-app
-/// builders' naming).
-fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
-    let suffix = match app.name() {
-        name if name == crate::scenario::fleet::APP_TELEMETRY_V2 => "2",
-        APP_TELEMETRY_BAD => "BAD",
-        _ => "",
-    };
-    PluginId::new(format!("OP{suffix}-{worker}"))
 }
 
 #[cfg(test)]

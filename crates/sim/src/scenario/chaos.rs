@@ -60,7 +60,7 @@ pub struct ChaosConfig {
     pub retry: RetryPolicy,
     /// Convergence horizon per wave, in ticks.
     pub max_ticks_per_wave: u64,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
+    /// Server shard count (1 = the round runs inline; more shards run the same
     /// campaign shard-parallel).
     pub shards: usize,
 }
@@ -212,15 +212,7 @@ impl ChaosScenario {
                 self.partition_injected = true;
             }
         }
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
+        self.inner.step()
     }
 
     /// Ticks until no target has a `Pending` operation for `app` any more

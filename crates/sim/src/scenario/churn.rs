@@ -26,13 +26,18 @@
 //! * **Fail-fast removal** — the removed vehicle's operations resolve with
 //!   the distinct `vehicle unreachable` reason, never by burning the retry
 //!   budget.
+//!
+//! [`TrustedServer::set_desired`]: dynar_server::server::TrustedServer::set_desired
+//! [`TrustedServer::clear_desired`]: dynar_server::server::TrustedServer::clear_desired
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
+use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, EcuId, PluginId, VehicleId};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_foundation::ids::{AppId, VehicleId};
+use dynar_server::server::{DeploymentStatus, RetryPolicy};
 
-use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2};
+use crate::scenario::fleet::{
+    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2,
+};
 
 /// The churn events of one campaign, scheduled against the fleet tick.
 /// Vehicle indices refer to the *initial* registration order.
@@ -81,7 +86,7 @@ pub struct ChurnConfig {
     pub max_ticks: u64,
     /// The scheduled churn events.
     pub plan: ChurnPlan,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
+    /// Server shard count (1 = the round runs inline; more shards run the same
     /// campaign shard-parallel).
     pub shards: usize,
 }
@@ -185,8 +190,10 @@ impl ChurnScenario {
             initial_ids,
             removed_ids: Vec::new(),
         };
-        for id in scenario.initial_ids.clone() {
-            scenario_install_jitter(&scenario.inner, &id, scenario.config.jitter_ticks);
+        for id in &scenario.initial_ids {
+            scenario
+                .inner
+                .install_jitter(id, scenario.config.jitter_ticks);
         }
         Ok(scenario)
     }
@@ -199,24 +206,6 @@ impl ChurnScenario {
     /// Vehicles removed by the campaign so far.
     pub fn removed_ids(&self) -> &[VehicleId] {
         &self.removed_ids
-    }
-
-    /// One fleet tick under churn, asserting transport conservation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
     }
 
     /// Runs the full churn campaign: staggered v1 waves, scheduled reboots,
@@ -251,13 +240,13 @@ impl ChurnScenario {
         loop {
             let now = self.inner.fleet.now().as_u64();
             if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
+                return Err(horizon_exhausted(
+                    format!(
                         "churn campaign convergence within {} ticks",
                         self.config.max_ticks
                     ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
+                    now,
+                ));
             }
 
             // --- Scheduled churn events -----------------------------------
@@ -310,7 +299,7 @@ impl ChurnScenario {
             });
             for _ in 0..due_additions {
                 let id = self.inner.add_vehicle_during_run()?;
-                scenario_install_jitter(&self.inner, &id, self.config.jitter_ticks);
+                self.inner.install_jitter(&id, self.config.jitter_ticks);
                 self.inner.fleet.server.set_desired(&user, &id, &v1)?;
                 report.added += 1;
             }
@@ -342,15 +331,8 @@ impl ChurnScenario {
             }
 
             // --- The convergent control loop ------------------------------
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&id);
-                }
-            }
-
-            self.step()?;
+            self.inner.reconcile_sweep(self.config.reconcile_interval);
+            self.inner.step()?;
 
             // --- Done? ----------------------------------------------------
             let events_pending = !reboots.is_empty()
@@ -363,21 +345,9 @@ impl ChurnScenario {
             }
         }
 
-        // Ground truth: ask every surviving ECM for a state report and let
-        // the resync path confirm (or repair) the server's observed state;
-        // requests and reports travel the same lossy links, so several
-        // rounds are issued.
-        for _ in 0..8 {
-            for id in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&id);
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
+        // Ground truth: every surviving ECM reports its state, and the
+        // resync path confirms (or repairs) the server's observed state.
+        self.inner.truth_resync()?;
         self.verify_converged(&updated)?;
 
         report.ticks = self.inner.fleet.stats().ticks;
@@ -397,79 +367,29 @@ impl ChurnScenario {
     /// Returns `true` when every surviving vehicle reached exactly its
     /// desired manifest and nothing is pending or outstanding.
     pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && manifest_reached(server, id)
-        })
+        self.inner.fleet_converged()
     }
 
     /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one.
+    /// that violates one: the ground truth of every survivor
+    /// ([`FleetScenario::verify_ground_truth`]), the `updated` vehicles'
+    /// manifests, and the fail-fast resolution of the removed vehicles.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] describing the violation.
     pub fn verify_converged(&self, updated: &[VehicleId]) -> Result<()> {
+        self.inner.verify_ground_truth()?;
         let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
+        // An updated vehicle removed afterwards has no manifest to check.
+        for id in updated
+            .iter()
+            .filter(|id| self.inner.fleet.vehicle(id).is_some())
+        {
             let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            if updated.contains(id) && desired != vec![AppId::new(APP_TELEMETRY_V2)] {
+            if desired != vec![AppId::new(APP_TELEMETRY_V2)] {
                 return Err(DynarError::ProtocolViolation(format!(
                     "{id}: updated vehicle's manifest is {desired:?}"
-                )));
-            }
-            // Ground truth: the worker PIRTEs host exactly the plug-ins the
-            // manifest implies — no leftovers, no double-applies.
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a duplicate crossed \
-                         a boot epoch or the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|app| expected_plugin(app, *worker))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            // The server's observed state matches the ground truth the
-            // state-report rounds just re-confirmed.
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
                 )));
             }
         }
@@ -494,44 +414,6 @@ impl ChurnScenario {
         }
         Ok(())
     }
-}
-
-/// `true` once `vehicle`'s server-side state equals its desired manifest.
-fn manifest_reached(server: &TrustedServer, vehicle: &VehicleId) -> bool {
-    let desired = server.desired_manifest(vehicle);
-    server.installed_apps(vehicle) == desired
-        && desired
-            .iter()
-            .all(|app| server.deployment_status(vehicle, app) == DeploymentStatus::Installed)
-}
-
-/// The plug-in id `app` places on `worker` (mirrors
-/// [`crate::scenario::fleet::telemetry_app`]'s naming).
-fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
-    let suffix = if app.name() == APP_TELEMETRY_V2 {
-        "2"
-    } else {
-        ""
-    };
-    PluginId::new(format!("OP{suffix}-{worker}"))
-}
-
-/// Installs the scenario's jitter fault on both directions of one vehicle's
-/// server link (faults are name-keyed and survive reboots).
-fn scenario_install_jitter(inner: &FleetScenario, id: &VehicleId, jitter_ticks: u64) {
-    if jitter_ticks == 0 {
-        return;
-    }
-    let Some(endpoint) = inner.fleet.endpoint_of(id).map(str::to_owned) else {
-        return;
-    };
-    let server = inner.fleet.server_endpoint().to_owned();
-    inner
-        .fleet
-        .set_link_fault(&server, &endpoint, LinkFault::jittery(jitter_ticks));
-    inner
-        .fleet
-        .set_link_fault(&endpoint, &server, LinkFault::jittery(jitter_ticks));
 }
 
 #[cfg(test)]
@@ -589,7 +471,7 @@ mod tests {
         scenario.inner.reboot_vehicle(&id).unwrap();
         assert!(!scenario.inner.fleet.server.is_online(&id));
         for _ in 0..30 {
-            scenario.step().unwrap();
+            scenario.inner.step().unwrap();
         }
         assert!(
             scenario.inner.fleet.server.is_online(&id),
@@ -602,7 +484,7 @@ mod tests {
         // stops re-announcing: the external link goes and stays quiet.
         let before = scenario.inner.fleet.transport_stats().sent;
         for _ in 0..100 {
-            scenario.step().unwrap();
+            scenario.inner.step().unwrap();
         }
         let after = scenario.inner.fleet.transport_stats().sent;
         assert_eq!(

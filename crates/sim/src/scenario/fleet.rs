@@ -22,8 +22,8 @@ use dynar_core::plugin::PluginPortDirection;
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 use dynar_ecm::gateway::{EcmConfig, EcmSwc, SharedHub};
-use dynar_fes::transport::TransportConfig;
-use dynar_foundation::error::Result;
+use dynar_fes::transport::{LinkFault, TransportConfig};
+use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, SwcId, UserId, VehicleId};
 use dynar_foundation::value::Value;
 use dynar_rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
@@ -33,10 +33,11 @@ use dynar_server::model::{
     AppDefinition, ConnectionDecl, HwConf, PluginArtifact, PluginPortDecl, PluginSwcDecl, SwConf,
     SystemSwConf, VirtualPortDecl, VirtualPortKindDecl,
 };
-use dynar_server::server::TrustedServer;
+use dynar_server::server::{DeploymentStatus, TrustedServer};
 use dynar_vm::assembler::assemble;
 
 use crate::fleet::Fleet;
+use crate::scenario::campaign::APP_TELEMETRY_BAD;
 use crate::world::Vehicle;
 
 /// Frame broadcasting the speed-sensor reading inside each vehicle.
@@ -65,8 +66,8 @@ pub struct FleetScenarioConfig {
     pub bus: BusConfig,
     /// External transport configuration of the shared hub.
     pub transport: TransportConfig,
-    /// Server shard count (1 = the serial control plane; more shards run the
-    /// fleet tick shard-parallel on the worker pool).
+    /// Server shard count (1 = the round runs inline; more shards run the
+    /// round shard-parallel on the worker pool).
     pub shards: usize,
 }
 
@@ -409,7 +410,7 @@ impl FleetScenario {
         let (vehicle, worker_handles) =
             build_vehicle(&endpoint, workers, self.bus.clone(), &hub, 0)?;
         self.fleet
-            .add_vehicle_during_run(vehicle_id.clone(), endpoint, vehicle)?;
+            .add_vehicle(vehicle_id.clone(), endpoint, vehicle)?;
         self.handles.push(VehicleHandles {
             id: vehicle_id.clone(),
             workers: worker_handles,
@@ -456,6 +457,154 @@ impl FleetScenario {
         Ok(())
     }
 
+    /// One fleet round, then the transport conservation check
+    /// (`sent == delivered + lost + dropped + in-flight`) every scenario
+    /// asserts at every tick.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fleet step errors; returns
+    /// [`DynarError::ProtocolViolation`] if conservation is violated.
+    pub fn step(&mut self) -> Result<()> {
+        self.fleet.step()?;
+        let stats = self.fleet.transport_stats();
+        if !stats.is_conserved() {
+            return Err(DynarError::ProtocolViolation(format!(
+                "transport stats conservation violated at tick {}: {stats:?}",
+                self.fleet.now()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Installs a jitter fault on both directions of one vehicle's server
+    /// link.  Faults are keyed by endpoint names, so they survive reboots —
+    /// and server crashes, since the transport outlives the server process.
+    pub(crate) fn install_jitter(&self, vehicle: &VehicleId, jitter_ticks: u64) {
+        if jitter_ticks == 0 {
+            return;
+        }
+        let Some(endpoint) = self.fleet.endpoint_of(vehicle) else {
+            return;
+        };
+        let server = self.fleet.server_endpoint();
+        self.fleet
+            .set_link_fault(server, endpoint, LinkFault::jittery(jitter_ticks));
+        self.fleet
+            .set_link_fault(endpoint, server, LinkFault::jittery(jitter_ticks));
+    }
+
+    /// The convergent control loop's periodic half: reconciles every vehicle
+    /// against its desired manifest on ticks that are a multiple of
+    /// `interval` (0 disables the sweep).
+    pub(crate) fn reconcile_sweep(&mut self, interval: u64) {
+        if interval > 0 && self.fleet.now().as_u64().is_multiple_of(interval) {
+            for vehicle in self.fleet.vehicle_ids().to_vec() {
+                let _ = self.fleet.server.reconcile(&vehicle);
+            }
+        }
+    }
+
+    /// Returns `true` when every vehicle reached exactly its desired
+    /// manifest and nothing is pending or outstanding.
+    pub fn fleet_converged(&self) -> bool {
+        let server = &self.fleet.server;
+        self.fleet.vehicle_ids().iter().all(|vehicle| {
+            server.pending_operations(vehicle).is_empty()
+                && server.outstanding_count(vehicle) == 0
+                && manifest_reached(server, vehicle)
+        })
+    }
+
+    /// Asks every ECM for a state report and lets the resync path confirm
+    /// (or repair) the server's observed state.  Requests and reports travel
+    /// the same lossy links, so up to eight rounds are issued, each followed
+    /// by twelve conservation-checked ticks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FleetScenario::step`] errors.
+    pub(crate) fn truth_resync(&mut self) -> Result<()> {
+        for _ in 0..8 {
+            for vehicle in self.fleet.vehicle_ids().to_vec() {
+                let _ = self.fleet.server.request_state_report(&vehicle);
+            }
+            for _ in 0..12 {
+                self.step()?;
+            }
+            if self.fleet_converged() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every vehicle's end state against the ground truth, naming the
+    /// first violation: each desired app is `Installed`; no worker PIRTE of
+    /// any incarnation rejected an operation (nothing was applied twice —
+    /// not across a boot epoch, a server incarnation, the dedup window or a
+    /// rollback); the worker PIRTEs host exactly the plug-ins the manifest
+    /// implies, with consistent compiled routes; and the server's observed
+    /// state equals the desired manifest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
+    pub fn verify_ground_truth(&self) -> Result<()> {
+        let server = &self.fleet.server;
+        for handle in &self.handles {
+            let id = &handle.id;
+            let desired = server.desired_manifest(id);
+            for app in &desired {
+                let status = server.deployment_status(id, app);
+                if status != DeploymentStatus::Installed {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}: desired app {app} resolved to {status:?}, not Installed"
+                    )));
+                }
+            }
+            for (worker, _, pirte) in &handle.workers {
+                let pirte = pirte.lock();
+                let rejected = pirte.stats().rejected_operations;
+                if rejected != 0 {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}/{worker}: {rejected} rejected operations — an operation was \
+                         applied twice"
+                    )));
+                }
+                let mut expected: Vec<PluginId> = desired
+                    .iter()
+                    .map(|app| expected_plugin(app, *worker))
+                    .collect();
+                expected.sort();
+                let mut actual: Vec<PluginId> = pirte
+                    .plugin_states()
+                    .into_iter()
+                    .map(|(plugin, _)| plugin)
+                    .collect();
+                actual.sort();
+                if actual != expected {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
+                    )));
+                }
+                if !pirte.verify_compiled_routes() {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}/{worker}: compiled routes diverged"
+                    )));
+                }
+            }
+            let observed = server.installed_apps(id);
+            if observed != desired {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "{id}: observed {observed:?} diverges from desired {desired:?} \
+                     after truth resync"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The last actuated value on one worker ECU of one vehicle.
     pub fn actuator_value(&self, vehicle: &VehicleId, worker: EcuId) -> Option<Value> {
         let handles = self.handles.iter().find(|h| &h.id == vehicle)?;
@@ -466,6 +615,36 @@ impl FleetScenario {
             .rte()
             .read_port_by_name(*swc, "act_out")
             .ok()
+    }
+}
+
+/// `true` once `vehicle`'s server-side state equals its desired manifest:
+/// observed equals desired, and every desired app is `Installed`.
+fn manifest_reached(server: &TrustedServer, vehicle: &VehicleId) -> bool {
+    let desired = server.desired_manifest(vehicle);
+    server.installed_apps(vehicle) == desired
+        && desired
+            .iter()
+            .all(|app| server.deployment_status(vehicle, app) == DeploymentStatus::Installed)
+}
+
+/// The plug-in id `app` places on `worker`, mirroring the naming of
+/// [`telemetry_app`] and [`crate::scenario::campaign::bad_telemetry_app`].
+fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
+    let suffix = match app.name() {
+        APP_TELEMETRY_V2 => "2",
+        APP_TELEMETRY_BAD => "BAD",
+        _ => "",
+    };
+    PluginId::new(format!("OP{suffix}-{worker}"))
+}
+
+/// The error a scenario returns when `operation` did not converge by tick
+/// `now`, the end of its horizon.
+pub(crate) fn horizon_exhausted(operation: String, now: u64) -> DynarError {
+    DynarError::RetryExhausted {
+        operation,
+        attempts: u32::try_from(now).unwrap_or(u32::MAX),
     }
 }
 

@@ -32,8 +32,9 @@ use dynar_server::model::{
 use dynar_server::server::{DeploymentStatus, TrustedServer};
 use dynar_vm::assembler::assemble;
 
+use crate::fleet::Fleet;
 use crate::plant::{CarPlant, SharedPlantState};
-use crate::world::{Vehicle, World};
+use crate::world::Vehicle;
 
 /// Frame carrying multiplexed plug-in data from ECU1 to ECU2 (S0 → S3).
 pub const FRAME_PLUGIN_DATA: u32 = 0x210;
@@ -63,7 +64,9 @@ pub struct DriveReport {
 /// The assembled Figure 3 system.
 #[derive(Debug)]
 pub struct RemoteCarScenario {
-    world: World,
+    /// A one-vehicle fleet: the trusted server, the shared hub and the car.
+    fleet: Fleet,
+    vehicle_id: VehicleId,
     phone: SmartPhone,
     ecm_pirte: SharedPirte,
     pirte2: SharedPirte,
@@ -153,7 +156,7 @@ impl RemoteCarScenario {
         let mut ecu1 = Ecu::new(ecu1_id);
         let mut ecu2 = Ecu::new(ecu2_id);
 
-        // The external transport hub is shared between the world, the ECM and
+        // The external transport hub is shared between the fleet, the ECM and
         // the phone.
         let hub: dynar_ecm::gateway::SharedHub = std::sync::Arc::new(parking_lot::Mutex::new(
             dynar_fes::transport::TransportHub::new(transport),
@@ -189,20 +192,15 @@ impl RemoteCarScenario {
         let mut vehicle = Vehicle::new(vec![ecu1, ecu2], bus);
         vehicle.open_acceptance_filters(&[plugin_data, mgmt_down, mgmt_up]);
 
-        let world = World::new(
-            server,
-            vehicle,
-            vehicle_id.clone(),
-            "server",
-            "vehicle-1",
-            hub,
-        );
+        let mut fleet = Fleet::with_hub(server, "server", hub.clone());
+        fleet.add_vehicle(vehicle_id.clone(), "vehicle-1", vehicle)?;
 
         let phone = SmartPhone::new("phone", "vehicle-1");
-        phone.attach(&mut *world.hub.lock());
+        phone.attach(&mut *hub.lock());
 
         Ok(RemoteCarScenario {
-            world,
+            fleet,
+            vehicle_id,
             phone,
             ecm_pirte,
             pirte2,
@@ -227,9 +225,23 @@ impl RemoteCarScenario {
         self.plant.clone()
     }
 
-    /// Mutable access to the world (server, hub, vehicle).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
+    /// The one-vehicle fleet (server, hub, car).
+    pub fn fleet(&self) -> &Fleet {
+        &self.fleet
+    }
+
+    /// The car.
+    pub fn vehicle(&self) -> &Vehicle {
+        self.fleet
+            .vehicle(&self.vehicle_id)
+            .expect("the car is the fleet's only vehicle")
+    }
+
+    /// Mutable access to the car.
+    pub fn vehicle_mut(&mut self) -> &mut Vehicle {
+        self.fleet
+            .vehicle_mut(&self.vehicle_id)
+            .expect("the car is the fleet's only vehicle")
     }
 
     /// Deploys the `remote-control` application through the trusted server
@@ -241,13 +253,15 @@ impl RemoteCarScenario {
     /// [`DynarError::ProtocolViolation`] if the installation did not complete
     /// within a generous time budget.
     pub fn install_app(&mut self) -> Result<()> {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
+        self.fleet
             .server
-            .deploy(&self.user, &vehicle_id, &self.app)?;
+            .deploy(&self.user, &self.vehicle_id, &self.app)?;
         for _ in 0..400 {
-            self.world.step()?;
-            if self.world.server.deployment_status(&vehicle_id, &self.app)
+            self.fleet.step()?;
+            if self
+                .fleet
+                .server
+                .deployment_status(&self.vehicle_id, &self.app)
                 == DeploymentStatus::Installed
             {
                 return Ok(());
@@ -255,7 +269,9 @@ impl RemoteCarScenario {
         }
         Err(DynarError::ProtocolViolation(format!(
             "installation did not complete: {:?}",
-            self.world.server.deployment_status(&vehicle_id, &self.app)
+            self.fleet
+                .server
+                .deployment_status(&self.vehicle_id, &self.app)
         )))
     }
 
@@ -265,7 +281,7 @@ impl RemoteCarScenario {
     ///
     /// # Errors
     ///
-    /// Propagates world step errors.
+    /// Propagates fleet step errors.
     pub fn drive(&mut self, ticks: u64) -> Result<DriveReport> {
         let mut sent = 0;
         for tick in 0..ticks {
@@ -273,13 +289,13 @@ impl RemoteCarScenario {
                 let angle = ((tick / 10) % 60) as f64 - 30.0;
                 let speed = 5.0 + ((tick / 10) % 10) as f64;
                 {
-                    let mut hub = self.world.hub.lock();
+                    let mut hub = self.fleet.hubs()[0].lock();
                     self.phone.steer(&mut *hub, angle)?;
                     self.phone.set_speed(&mut *hub, speed)?;
                 }
                 sent += 2;
             }
-            self.world.step()?;
+            self.fleet.step()?;
         }
         let plant = *self.plant.lock();
         Ok(DriveReport {

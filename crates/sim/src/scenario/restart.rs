@@ -29,12 +29,14 @@
 //! * **Durability survives recovery** — the successor journals too; replaying
 //!   *its* journal at the end of the campaign is byte-identical again.
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
+use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, PluginId, VehicleId};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_foundation::ids::AppId;
+use dynar_server::server::{RetryPolicy, TrustedServer};
 
-use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY};
+use crate::scenario::fleet::{
+    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY,
+};
 
 /// How the restart campaign is sized, how hostile its transport is, and when
 /// the crash and the concurrent vehicle reboot fire.
@@ -65,7 +67,7 @@ pub struct RestartConfig {
     pub reboot: Option<(u64, usize)>,
     /// Hard horizon for the whole campaign, in ticks.
     pub max_ticks: u64,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
+    /// Server shard count (1 = the round runs inline; more shards run the same
     /// campaign shard-parallel — the journal and its replay stay identical).
     pub shards: usize,
 }
@@ -154,34 +156,15 @@ impl RestartScenario {
             .fleet
             .server
             .enable_journal(config.compaction_interval);
-        let scenario = RestartScenario { inner, config };
-        for id in scenario.inner.fleet.vehicle_ids().to_vec() {
-            scenario.install_jitter(&id);
+        for id in inner.fleet.vehicle_ids() {
+            inner.install_jitter(id, config.jitter_ticks);
         }
-        Ok(scenario)
+        Ok(RestartScenario { inner, config })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &RestartConfig {
         &self.config
-    }
-
-    /// One fleet tick, asserting transport conservation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
     }
 
     /// Kills the server process and replays its journal into a successor,
@@ -260,13 +243,13 @@ impl RestartScenario {
         loop {
             let now = self.inner.fleet.now().as_u64();
             if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
+                return Err(horizon_exhausted(
+                    format!(
                         "restart campaign convergence within {} ticks",
                         self.config.max_ticks
                     ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
+                    now,
+                ));
             }
 
             if crash_pending && now >= self.config.crash_tick {
@@ -283,34 +266,19 @@ impl RestartScenario {
                 }
             }
 
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&id);
-                }
-            }
-
-            self.step()?;
+            self.inner.reconcile_sweep(self.config.reconcile_interval);
+            self.inner.step()?;
 
             if !crash_pending && reboot_pending.is_none() && self.fleet_converged() {
                 break;
             }
         }
 
-        // Ground truth: state-report rounds over the same lossy links.
-        for _ in 0..8 {
-            for id in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&id);
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
-        self.verify_converged()?;
+        // Ground truth: no incarnation of any PIRTE saw a duplicate —
+        // neither a stale pre-crash downlink nor a post-recovery re-push
+        // applied twice.
+        self.inner.truth_resync()?;
+        self.inner.verify_ground_truth()?;
 
         // The recovered server is durable too: replaying the journal it has
         // been writing since the crash reproduces it byte-for-byte.
@@ -341,105 +309,7 @@ impl RestartScenario {
     /// Returns `true` when every vehicle reached exactly its desired
     /// manifest and nothing is pending or outstanding.
     pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            let desired = server.desired_manifest(id);
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && server.installed_apps(id) == desired
-                && desired
-                    .iter()
-                    .all(|app| server.deployment_status(id, app) == DeploymentStatus::Installed)
-        })
-    }
-
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_converged(&self) -> Result<()> {
-        let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
-            let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            // Ground truth: the worker PIRTEs host exactly the plug-ins the
-            // manifest implies, and no incarnation of any PIRTE ever saw a
-            // duplicate — neither a stale pre-crash downlink nor a
-            // post-recovery re-push applied twice.
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a duplicate crossed \
-                         an epoch axis or the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|_| PluginId::new(format!("OP-{worker}")))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Installs the scenario's jitter fault on both directions of one
-    /// vehicle's server link (faults are name-keyed and survive reboots —
-    /// and the server crash, since the transport outlives the process).
-    fn install_jitter(&self, id: &VehicleId) {
-        if self.config.jitter_ticks == 0 {
-            return;
-        }
-        let Some(endpoint) = self.inner.fleet.endpoint_of(id).map(str::to_owned) else {
-            return;
-        };
-        let server = self.inner.fleet.server_endpoint().to_owned();
-        self.inner.fleet.set_link_fault(
-            &server,
-            &endpoint,
-            LinkFault::jittery(self.config.jitter_ticks),
-        );
-        self.inner.fleet.set_link_fault(
-            &endpoint,
-            &server,
-            LinkFault::jittery(self.config.jitter_ticks),
-        );
+        self.inner.fleet_converged()
     }
 }
 

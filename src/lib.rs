@@ -17,7 +17,7 @@
 //! * [`ecm`] — the external communication manager gateway.
 //! * [`server`] — the off-board trusted server managing the plug-in life cycle.
 //! * [`fes`] — federated-embedded-system transports and external devices.
-//! * [`sim`] — the vehicle/world simulator, the fleet scheduler and the
+//! * [`sim`] — the vehicle simulator, the fleet scheduler and the
 //!   demonstrator scenarios.
 //!
 //! # Example

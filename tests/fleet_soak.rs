@@ -25,7 +25,8 @@ use dynar::server::model::{
 use dynar::server::server::{DeploymentStatus, TrustedServer};
 use dynar::sim::scenario::quickstart::Quickstart;
 use dynar::sim::scenario::remote_car::RemoteCarScenario;
-use dynar::sim::world::{Vehicle, World};
+use dynar::sim::world::Vehicle;
+use dynar::sim::Fleet;
 use dynar::vm::assembler::assemble;
 
 mod lossy {
@@ -174,8 +175,8 @@ fn remote_car_survives_a_long_drive() {
 
     // Bus invariants: the default error model drops nothing, everything that
     // finished transmission found a subscriber, and the backlog drains.
-    let world = scenario.world_mut();
-    let bus = world.vehicle.bus().stats();
+    let vehicle = scenario.vehicle_mut();
+    let bus = vehicle.bus().stats();
     assert!(bus.sent > 0 && bus.delivered > 0);
     assert_eq!(bus.dropped, 0, "default bus config is lossless");
     assert!(bus.payload_bytes > 0);
@@ -186,7 +187,7 @@ fn remote_car_survives_a_long_drive() {
 
     // Kernel invariants and behaviour errors on every ECU.
     for id in [EcuId::new(1), EcuId::new(2)] {
-        let ecu = world.vehicle.ecu_mut(id).unwrap();
+        let ecu = vehicle.ecu_mut(id).unwrap();
         let kernel = ecu.kernel().stats();
         assert!(
             kernel.dispatches >= 2500,
@@ -385,15 +386,17 @@ fn fleet_app(app: &str, suffix: &str, message_prefix: &str, gain: i64) -> AppDef
     definition.with_sw_conf(conf)
 }
 
-struct Fleet {
-    world: World,
+/// The ten-ECU truck as a one-vehicle [`Fleet`].
+struct TenEcuFleet {
+    fleet: Fleet,
+    vehicle_id: VehicleId,
     console: SmartPhone,
     ecm_pirte: SharedPirte,
     workers: Vec<(EcuId, SwcId, SharedPirte)>,
     user: UserId,
 }
 
-impl Fleet {
+impl TenEcuFleet {
     fn build() -> Self {
         let ecm_ecu_id = EcuId::new(1);
 
@@ -503,12 +506,16 @@ impl Fleet {
         );
         vehicle.open_acceptance_filters(&frames);
 
-        let world = World::new(server, vehicle, vehicle_id, "server", "vehicle-1", hub);
+        let mut fleet = Fleet::with_hub(server, "server", hub.clone());
+        fleet
+            .add_vehicle(vehicle_id.clone(), "vehicle-1", vehicle)
+            .unwrap();
         let console = SmartPhone::new("console", "vehicle-1");
-        console.attach(&mut *world.hub.lock());
+        console.attach(&mut *hub.lock());
 
-        Fleet {
-            world,
+        TenEcuFleet {
+            fleet,
+            vehicle_id,
             console,
             ecm_pirte,
             workers,
@@ -516,36 +523,41 @@ impl Fleet {
         }
     }
 
+    fn vehicle(&self) -> &Vehicle {
+        self.fleet.vehicle(&self.vehicle_id).unwrap()
+    }
+
+    fn vehicle_mut(&mut self) -> &mut Vehicle {
+        self.fleet.vehicle_mut(&self.vehicle_id).unwrap()
+    }
+
     fn deploy(&mut self, app: &str) {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
+        self.fleet
             .server
-            .deploy(&self.user, &vehicle_id, &AppId::new(app))
+            .deploy(&self.user, &self.vehicle_id, &AppId::new(app))
             .unwrap();
         self.wait_for_status(app, &DeploymentStatus::Installed);
     }
 
     fn uninstall(&mut self, app: &str) {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
+        self.fleet
             .server
-            .uninstall(&self.user, &vehicle_id, &AppId::new(app))
+            .uninstall(&self.user, &self.vehicle_id, &AppId::new(app))
             .unwrap();
         self.wait_for_status(app, &DeploymentStatus::NotInstalled);
     }
 
     fn wait_for_status(&mut self, app: &str, wanted: &DeploymentStatus) {
-        let vehicle_id = self.world.vehicle_id().clone();
         let app = AppId::new(app);
         for _ in 0..800 {
-            self.world.step().unwrap();
-            if self.world.server.deployment_status(&vehicle_id, &app) == *wanted {
+            self.fleet.step().unwrap();
+            if self.fleet.server.deployment_status(&self.vehicle_id, &app) == *wanted {
                 return;
             }
         }
         panic!(
             "deployment of {app} never reached {wanted:?}: {:?}",
-            self.world.server.deployment_status(&vehicle_id, &app)
+            self.fleet.server.deployment_status(&self.vehicle_id, &app)
         );
     }
 
@@ -558,7 +570,7 @@ impl Fleet {
             if tick % 3 == 0 {
                 let worker = targets[next % targets.len()];
                 next += 1;
-                let mut hub = self.world.hub.lock();
+                let mut hub = self.fleet.hubs()[0].lock();
                 self.console
                     .send(
                         &mut *hub,
@@ -567,17 +579,16 @@ impl Fleet {
                     )
                     .unwrap();
             }
-            self.world.step().unwrap();
+            self.fleet.step().unwrap();
         }
         // Quiet period: let in-flight frames and VM queues drain.
         for _ in 0..120 {
-            self.world.step().unwrap();
+            self.fleet.step().unwrap();
         }
     }
 
     fn actuator_value(&self, worker: EcuId, swc: SwcId) -> Value {
-        self.world
-            .vehicle
+        self.vehicle()
             .ecu(worker)
             .unwrap()
             .rte()
@@ -586,18 +597,18 @@ impl Fleet {
     }
 
     fn assert_healthy(&mut self, ticks_so_far: u64) {
-        let bus = self.world.vehicle.bus().stats();
+        let bus = self.vehicle().bus().stats();
         assert!(bus.sent > 0 && bus.delivered > 0);
         assert_eq!(bus.dropped, 0, "lossless bus must not drop frames");
         assert!(
-            self.world.vehicle.bus().backlog() <= 16,
+            self.vehicle().bus().backlog() <= 16,
             "bus backlog must stay bounded, got {}",
-            self.world.vehicle.bus().backlog()
+            self.vehicle().bus().backlog()
         );
 
         let ecu_ids: Vec<EcuId> = std::iter::once(EcuId::new(1)).chain(worker_ids()).collect();
         for id in ecu_ids {
-            let ecu = self.world.vehicle.ecu_mut(id).unwrap();
+            let ecu = self.vehicle_mut().ecu_mut(id).unwrap();
             let kernel = ecu.kernel().stats();
             assert!(
                 kernel.dispatches >= ticks_so_far,
@@ -618,7 +629,7 @@ impl Fleet {
 
 #[test]
 fn ten_ecu_fleet_install_update_uninstall_cycle() {
-    let mut fleet = Fleet::build();
+    let mut fleet = TenEcuFleet::build();
 
     // --- Install v1 across all ten ECUs --------------------------------
     fleet.deploy(APP_V1);
@@ -674,7 +685,7 @@ fn ten_ecu_fleet_install_update_uninstall_cycle() {
         assert_eq!(pirte.lock().stats().uninstalls, 1);
     }
     let installed = fleet
-        .world
+        .fleet
         .server
         .installed_apps(&VehicleId::new(FLEET_VIN));
     assert!(

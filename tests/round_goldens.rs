@@ -238,13 +238,12 @@ fn remote_car_round_matches_the_golden() {
     let mut scenario = RemoteCarScenario::build().expect("remote car builds");
     scenario.install_app().expect("remote-control app installs");
     let report = scenario.drive(300).expect("drive runs");
-    let world = scenario.world_mut();
-    let transport = world.hub.lock().stats();
+    let fleet = scenario.fleet();
     let actual = digests(
-        &world.server,
-        &world.server.ledger(),
-        &(world.vehicle.bus().stats(), report),
-        &transport,
+        &fleet.server,
+        &fleet.server.ledger(),
+        &(scenario.vehicle().bus().stats(), report),
+        &fleet.transport_stats(),
     );
     assert_golden("remote car", actual, golden::REMOTE_CAR);
 }

@@ -348,7 +348,7 @@ fn remote_car_drive_matches_the_seed_observables() {
     assert_eq!(report.odometer, 5.699999999999999);
 
     // Bus statistics recorded from the seed implementation.
-    let bus = scenario.world_mut().vehicle.bus().stats();
+    let bus = scenario.vehicle().bus().stats();
     assert_eq!(
         bus,
         BusStats {

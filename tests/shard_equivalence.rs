@@ -19,9 +19,18 @@
 //! mid-campaign crash + recovery — and the merged journal is itself
 //! shard-agnostic (a serial replay of a parallel journal converges on the
 //! same bytes).
+//!
+//! A third test pins the vehicle-error rule of the round: a vehicle whose
+//! step fails (a signal too large to segment) does not stop the rest of the
+//! round, so one and two shards end in the same state whichever round the
+//! error lands in.
 
+use dynar::foundation::ids::{AppId, EcuId};
+use dynar::foundation::value::Value;
+use dynar::rte::com_mapping::SEGMENT_DATA;
 use dynar::server::{Ledger, TrustedServer};
 use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario};
+use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY};
 use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
 use dynar::sim::FleetStats;
 
@@ -95,5 +104,98 @@ fn parallel_journal_replays_byte_identically_through_a_crash() {
             scenario.inner.fleet.server.snapshot_bytes(),
             "{shards} shards: serial replay of the parallel journal diverged"
         );
+    }
+}
+
+/// The server state one test compares across shard counts.
+type ServerState = (Vec<u8>, Ledger, FleetStats);
+
+fn server_state(scenario: &FleetScenario) -> ServerState {
+    (
+        scenario.fleet.server.snapshot_bytes(),
+        scenario.fleet.server.ledger(),
+        scenario.fleet.stats().clone(),
+    )
+}
+
+/// A fleet whose first vehicle fails its step in the middle of an install
+/// wave: its speed sensor is handed a signal too large for the segmenter
+/// (more than `u16::MAX` frames), so `Vehicle::step` returns the
+/// segmentation error after `healthy_rounds` good rounds.  Returns the state
+/// right after the failing round and after the wave settled.
+fn failing_vehicle_round(shards: usize, healthy_rounds: u64) -> (ServerState, ServerState) {
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: 6,
+        workers_per_vehicle: 2,
+        shards,
+        ..FleetScenarioConfig::default()
+    })
+    .expect("fleet scenario builds");
+    let user = scenario.user.clone();
+    let app = AppId::new(APP_TELEMETRY);
+    let ids = scenario.fleet.vehicle_ids().to_vec();
+    for id in &ids {
+        scenario
+            .fleet
+            .server
+            .set_desired(&user, id, &app)
+            .expect("desired manifest accepted");
+    }
+    scenario.fleet.run(healthy_rounds).expect("healthy rounds");
+
+    let ecm = scenario
+        .fleet
+        .vehicle_mut(&ids[0])
+        .and_then(|vehicle| vehicle.ecu_mut(EcuId::new(1)))
+        .expect("the victim's ECM ECU");
+    let sensor = ecm
+        .component_by_name("speed-sensor")
+        .expect("speed sensor SW-C");
+    let port = ecm.rte().port_id(sensor, "speed_out").expect("sensor port");
+    let oversized = vec![0u8; (usize::from(u16::MAX) + 1) * SEGMENT_DATA];
+    ecm.rte_mut()
+        .write_port(port, Value::Bytes(oversized))
+        .expect("the write itself succeeds");
+
+    let error = scenario
+        .fleet
+        .step()
+        .expect_err("the oversized signal fails the victim's step");
+    assert!(
+        error.to_string().contains("u16"),
+        "{shards} shards, round {}: unexpected error {error}",
+        healthy_rounds + 1
+    );
+    let failed_round = server_state(&scenario);
+    scenario.fleet.run(60).expect("later rounds are healthy");
+    (failed_round, server_state(&scenario))
+}
+
+/// One vehicle-error rule at every shard count: a failing vehicle step does
+/// not stop the other vehicles, the uplinks, the journal merge or the
+/// campaign gates of its round, so the error cannot make shard counts
+/// diverge.
+#[test]
+fn a_vehicle_step_error_ends_identically_at_one_and_two_shards() {
+    // The failing round sweeps the install wave: packages going out, the
+    // first acknowledgements arriving, the last ones settling.
+    for healthy_rounds in 1..=8 {
+        let serial = failing_vehicle_round(1, healthy_rounds);
+        let sharded = failing_vehicle_round(2, healthy_rounds);
+        let round = healthy_rounds + 1;
+        for (when, a, b) in [
+            ("failing round", &serial.0, &sharded.0),
+            ("settled", &serial.1, &sharded.1),
+        ] {
+            assert_eq!(a.1, b.1, "error in round {round}, {when}: ledger diverged");
+            assert_eq!(
+                a.2, b.2,
+                "error in round {round}, {when}: fleet counters diverged"
+            );
+            assert!(
+                a.0 == b.0,
+                "error in round {round}, {when}: snapshot diverged"
+            );
+        }
     }
 }
