@@ -1,7 +1,11 @@
 //! Round goldens: the end state of every pinned-seed federation scenario,
-//! pinned as FNV-1a digests recorded at commit `ea64a84`, where the
+//! pinned as FNV-1a digests.  The chaos, churn, restart, campaign and
+//! remote-car digests were recorded at commit `ea64a84`, where the
 //! federation round was still written three times (the one-vehicle world,
-//! the serial fleet round and the per-shard round).
+//! the serial fleet round and the per-shard round).  The lossy-uplink and
+//! one-attempt chaos, journaled rollout, tick-zero crash and staged
+//! install/update digests were recorded at commit `eab1f42`, where every
+//! scenario still ran its own hand-written drive loop.
 //!
 //! The shard-equivalence suites compare shard counts *within* one build;
 //! these digests pin the observable state *across* changes to the round
@@ -18,11 +22,15 @@
 use std::fmt::Debug;
 
 use dynar::fes::transport::TransportStats;
+use dynar::server::campaign::{CampaignId, CampaignStatus};
+use dynar::server::server::RetryPolicy;
 use dynar::server::{Ledger, TrustedServer};
 use dynar::sim::scenario::campaign::{CampaignScenario, CampaignScenarioConfig, APP_TELEMETRY_BAD};
 use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario};
 use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan, ChurnScenario};
-use dynar::sim::scenario::fleet::APP_TELEMETRY;
+use dynar::sim::scenario::fleet::{
+    FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2,
+};
 use dynar::sim::scenario::remote_car::RemoteCarScenario;
 use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
 use dynar::sim::FleetStats;
@@ -158,7 +166,103 @@ fn campaign(shards: usize) -> Digests {
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
-/// Digests recorded at commit `ea64a84`.
+/// The asymmetric-loss chaos run: 20 % loss with a 5 % uplink override and
+/// no partition, so the uplink `LinkFault` path takes part.  With a budget
+/// of one delivery attempt, two uninstalls and the one v2 install resolve
+/// to `Failed`, so the wave tallies' failure arms take part too.
+fn lossy_uplink_chaos(shards: usize, max_attempts: u32) -> Digests {
+    let mut scenario = ChaosScenario::build_with(ChaosConfig {
+        vehicles: 3,
+        loss_probability: 0.20,
+        uplink_loss_probability: Some(0.05),
+        partition: None,
+        seed: 0xBADF00D,
+        retry: RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::default()
+        },
+        shards,
+        ..ChaosConfig::default()
+    })
+    .expect("chaos scenario builds");
+    scenario.run().expect("chaos campaign converges");
+    let fleet = &scenario.inner.fleet;
+    fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
+}
+
+/// The journaled `good-v2` rollout of `tests/campaign.rs`: created by hand,
+/// stepped ten rounds, then driven to `Complete`.
+fn journaled_rollout(shards: usize) -> Digests {
+    let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
+        vehicles: 12,
+        canary: 2,
+        ramp_percent: vec![50, 100],
+        min_soak_ticks: 25,
+        shards,
+        ..CampaignScenarioConfig::default()
+    })
+    .expect("campaign scenario builds");
+    scenario.inner.fleet.server.enable_journal(4096);
+    scenario.converge_on_v1().expect("fleet converges on v1");
+    let spec = scenario.spec("good-v2", APP_TELEMETRY_V2, Some(APP_TELEMETRY));
+    let user = scenario.user().clone();
+    scenario
+        .inner
+        .fleet
+        .server
+        .create_campaign(&user, spec)
+        .expect("campaign creates");
+    for _ in 0..10 {
+        scenario.step().expect("fleet steps");
+    }
+    let report = scenario
+        .drive(&CampaignId::new("good-v2"))
+        .expect("rollout completes");
+    assert_eq!(report.status, CampaignStatus::Complete);
+    let fleet = &scenario.inner.fleet;
+    fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
+}
+
+/// A lossless restart whose crash is due at tick 0, before the first round.
+fn crash_at_tick_zero(shards: usize) -> Digests {
+    let mut scenario = RestartScenario::build_with(RestartConfig {
+        vehicles: 2,
+        workers_per_vehicle: 2,
+        loss_probability: 0.0,
+        jitter_ticks: 0,
+        crash_tick: 0,
+        reboot: None,
+        shards,
+        ..RestartConfig::default()
+    })
+    .expect("restart scenario builds");
+    scenario.run().expect("restart campaign converges");
+    let fleet = &scenario.inner.fleet;
+    fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
+}
+
+/// Six vehicles installed in waves of two, then all six updated to v2 in
+/// waves of three.
+fn staged_install_and_update(shards: usize) -> Digests {
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: 6,
+        shards,
+        ..FleetScenarioConfig::default()
+    })
+    .expect("fleet scenario builds");
+    scenario
+        .install_telemetry(2)
+        .expect("install waves converge");
+    let targets = scenario.fleet.vehicle_ids().to_vec();
+    scenario
+        .update_telemetry(&targets, 3)
+        .expect("update waves converge");
+    let fleet = &scenario.fleet;
+    fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
+}
+
+/// Digests recorded at commits `ea64a84` and `eab1f42` (see the module
+/// documentation).
 mod golden {
     use super::Digests;
 
@@ -185,6 +289,36 @@ mod golden {
         0xc3d4fe4c6295ba33,
         0xf241432d46944be7,
         0x0cd7ff5cb57b2799,
+    ];
+    pub const LOSSY_UPLINK_CHAOS: Digests = [
+        0x5af26cf60f0b92fd,
+        0x013057be303bee23,
+        0xdea6e64d0f76e459,
+        0x7e5dec388b11bff2,
+    ];
+    pub const ONE_ATTEMPT_CHAOS: Digests = [
+        0x3996f071b83395e8,
+        0xa46bf2f0e55d0606,
+        0x903a069f7569f04d,
+        0x749eae00c0508fb5,
+    ];
+    pub const JOURNALED_ROLLOUT: Digests = [
+        0xf8404ad4bc616522,
+        0x023a305bb6899059,
+        0x5d9455d0ad9964f9,
+        0xc8cea63130c5441d,
+    ];
+    pub const CRASH_AT_TICK_ZERO: Digests = [
+        0x37aabc1c84e7a8be,
+        0x53896e5a5b0b8099,
+        0x87d498c71734dd25,
+        0xb92777daaf8e5c49,
+    ];
+    pub const STAGED_INSTALL_AND_UPDATE: Digests = [
+        0xf6ab5e7eff92d694,
+        0x8423d51b272fc348,
+        0x6479e674b790d081,
+        0xa00cbfa5c2b6786d,
     ];
     pub const REMOTE_CAR: Digests = [
         0xb73e123e343ecaa3,
@@ -226,6 +360,61 @@ fn campaign_round_matches_the_golden_at_one_and_two_shards() {
             &format!("campaign/{shards}"),
             campaign(shards),
             golden::CAMPAIGN,
+        );
+    }
+}
+
+#[test]
+fn lossy_uplink_chaos_matches_the_golden_at_one_and_two_shards() {
+    for shards in [1, 2] {
+        assert_golden(
+            &format!("lossy uplink chaos/{shards}"),
+            lossy_uplink_chaos(shards, 8),
+            golden::LOSSY_UPLINK_CHAOS,
+        );
+    }
+}
+
+#[test]
+fn one_attempt_chaos_matches_the_golden_at_one_and_two_shards() {
+    for shards in [1, 2] {
+        assert_golden(
+            &format!("one-attempt chaos/{shards}"),
+            lossy_uplink_chaos(shards, 1),
+            golden::ONE_ATTEMPT_CHAOS,
+        );
+    }
+}
+
+#[test]
+fn journaled_rollout_matches_the_golden_at_one_and_two_shards() {
+    for shards in [1, 2] {
+        assert_golden(
+            &format!("journaled rollout/{shards}"),
+            journaled_rollout(shards),
+            golden::JOURNALED_ROLLOUT,
+        );
+    }
+}
+
+#[test]
+fn crash_at_tick_zero_matches_the_golden_at_one_and_two_shards() {
+    for shards in [1, 2] {
+        assert_golden(
+            &format!("crash at tick zero/{shards}"),
+            crash_at_tick_zero(shards),
+            golden::CRASH_AT_TICK_ZERO,
+        );
+    }
+}
+
+#[test]
+fn staged_install_and_update_matches_the_golden_at_one_and_two_shards() {
+    for shards in [1, 2] {
+        assert_golden(
+            &format!("staged install and update/{shards}"),
+            staged_install_and_update(shards),
+            golden::STAGED_INSTALL_AND_UPDATE,
         );
     }
 }
