@@ -423,10 +423,13 @@ fn bench_fleet_tick(c: &mut Criterion) {
         let user = scenario.user.clone();
         let app = dynar_foundation::ids::AppId::new(dynar_sim::scenario::fleet::APP_TELEMETRY);
         let targets = scenario.fleet.vehicle_ids().to_vec();
-        scenario
-            .fleet
-            .deploy_wave(&user, &app, &targets)
-            .expect("deploy wave");
+        for vehicle in &targets {
+            scenario
+                .fleet
+                .server
+                .deploy(&user, vehicle, &app)
+                .expect("deploy wave");
+        }
         let horizon = scenario.fleet.server.retry_horizon_ticks() + 120;
         scenario
             .fleet

@@ -9,8 +9,8 @@
 //! each vehicle's ECM, the transport delivers, the vehicles run, and their
 //! acknowledgements flow back into the server.
 //!
-//! Deployments can be staged in **install waves** ([`Fleet::deploy_wave`],
-//! [`Fleet::install_in_waves`]) so reconfiguration load is spread over the
+//! Deployments are staged in **install waves** by the scenario engine of
+//! [`crate::scenario::fleet`], so reconfiguration load is spread over the
 //! fleet instead of arriving everywhere at once.
 //!
 //! # One round at every shard count
@@ -44,11 +44,11 @@ use dynar_fes::transport::{
     EndpointName, LinkFault, TransportConfig, TransportHub, TransportStats,
 };
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, PluginId, UserId, VehicleId};
+use dynar_foundation::ids::{AppId, PluginId, VehicleId};
 use dynar_foundation::payload::Payload;
 use dynar_foundation::pool::ThreadPool;
 use dynar_foundation::time::{Clock, Tick};
-use dynar_server::server::{DeploymentStatus, RetryFailure, ShardHandle, TrustedServer};
+use dynar_server::server::{RetryFailure, ShardHandle, TrustedServer};
 
 use crate::world::Vehicle;
 
@@ -587,114 +587,6 @@ impl Fleet {
     pub fn run(&mut self, ticks: u64) -> Result<()> {
         for _ in 0..ticks {
             self.step()?;
-        }
-        Ok(())
-    }
-
-    /// Deploys `app` to one wave of vehicles (without waiting), returning the
-    /// total number of installation packages pushed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's deployment rejections.
-    pub fn deploy_wave(
-        &mut self,
-        user: &UserId,
-        app: &AppId,
-        targets: &[VehicleId],
-    ) -> Result<usize> {
-        let mut packages = 0;
-        for vehicle in targets {
-            packages += self.server.deploy(user, vehicle, app)?;
-        }
-        Ok(packages)
-    }
-
-    /// Runs the fleet until `app` reaches `wanted` deployment status on every
-    /// target vehicle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] if the status is not reached
-    /// within `max_ticks`, and propagates step errors.
-    pub fn await_deployment(
-        &mut self,
-        app: &AppId,
-        targets: &[VehicleId],
-        wanted: &DeploymentStatus,
-        max_ticks: u64,
-    ) -> Result<()> {
-        let reached = |fleet: &Fleet| {
-            targets
-                .iter()
-                .all(|v| fleet.server.deployment_status(v, app) == *wanted)
-        };
-        for _ in 0..max_ticks {
-            if reached(self) {
-                return Ok(());
-            }
-            self.step()?;
-        }
-        // The final step may have been the one that completed the wave.
-        if reached(self) {
-            return Ok(());
-        }
-        Err(DynarError::ProtocolViolation(format!(
-            "deployment of {app} did not reach {wanted:?} on all {} targets within {max_ticks} ticks",
-            targets.len()
-        )))
-    }
-
-    /// Installs `app` across the whole fleet in staged waves of `wave_size`
-    /// vehicles, waiting for each wave to acknowledge before the next starts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates deployment rejections and wave timeouts.
-    pub fn install_in_waves(
-        &mut self,
-        user: &UserId,
-        app: &AppId,
-        wave_size: usize,
-        max_ticks_per_wave: u64,
-    ) -> Result<()> {
-        let wave_size = wave_size.max(1);
-        let mut start = 0;
-        while start < self.ids.len() {
-            let end = (start + wave_size).min(self.ids.len());
-            // One small clone per wave: stepping the fleet needs `&mut self`
-            // while the wave is awaited.
-            let wave: Vec<VehicleId> = self.ids[start..end].to_vec();
-            self.deploy_wave(user, app, &wave)?;
-            self.await_deployment(app, &wave, &DeploymentStatus::Installed, max_ticks_per_wave)?;
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// Uninstalls `app` from the given vehicles in staged waves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rejections and wave timeouts.
-    pub fn uninstall_in_waves(
-        &mut self,
-        user: &UserId,
-        app: &AppId,
-        targets: &[VehicleId],
-        wave_size: usize,
-        max_ticks_per_wave: u64,
-    ) -> Result<()> {
-        for wave in targets.chunks(wave_size.max(1)) {
-            for vehicle in wave {
-                self.server.uninstall(user, vehicle, app)?;
-            }
-            self.await_deployment(
-                app,
-                wave,
-                &DeploymentStatus::NotInstalled,
-                max_ticks_per_wave,
-            )?;
         }
         Ok(())
     }

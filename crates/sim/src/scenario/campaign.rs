@@ -5,8 +5,9 @@
 //! Where [`crate::scenario::churn`] drives the desired-state plane by hand
 //! (the operator edits manifests vehicle by vehicle), this scenario hands the
 //! whole rollout to [`TrustedServer::create_campaign`]: the operator declares
-//! *one* campaign (app, selector, wave plan, health gate) and the fleet tick
-//! loop evaluates the gate every round via `TrustedServer::step_campaigns`.
+//! *one* campaign (app, selector, wave plan, health gate) as an
+//! [`Event::Campaign`] of the scenario engine, and the fleet round evaluates
+//! the gate every tick via `TrustedServer::step_campaigns`.
 //! Three campaign shapes are covered:
 //!
 //! * **Flash crowd** — every vehicle is eligible at once (canary = fleet
@@ -22,8 +23,8 @@
 //!   loss and vehicles rebooting mid-wave: rollback must converge through
 //!   the ordinary reconciliation loop against whatever the churn left.
 //!
-//! End-state guarantees (checked by
-//! [`FleetScenario::verify_ground_truth`]): every vehicle's server-observed
+//! End-state guarantees (checked by [`FleetScenario::verify`] with
+//! [`Invariants::GroundTruth`]): every vehicle's server-observed
 //! state equals its desired manifest after a truth-resync round, the worker
 //! PIRTEs (ground truth) host exactly the plug-ins the manifest implies, and
 //! no PIRTE of any incarnation rejected a duplicate operation — rollbacks
@@ -31,9 +32,9 @@
 //!
 //! [`TrustedServer::create_campaign`]: dynar_server::server::TrustedServer::create_campaign
 
-use dynar_fes::transport::{TransportConfig, TransportStats};
-use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, EcuId, PluginId, UserId, VehicleId};
+use dynar_fes::transport::TransportConfig;
+use dynar_foundation::error::Result;
+use dynar_foundation::ids::{AppId, PluginId, UserId};
 use dynar_server::campaign::{
     CampaignId, CampaignSpec, CampaignStatus, HealthGate, VehicleSelector, WavePlan,
 };
@@ -41,7 +42,8 @@ use dynar_server::model::{AppDefinition, PluginArtifact, SwConf};
 use dynar_server::server::RetryPolicy;
 
 use crate::scenario::fleet::{
-    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY, FLEET_MODEL,
+    worker_ids, Event, FleetScenario, FleetScenarioConfig, Invariants, ScenarioReport, WaveOp,
+    APP_TELEMETRY, FLEET_MODEL,
 };
 
 /// The application a bad-version campaign tries to roll out: plug-in
@@ -74,7 +76,8 @@ pub struct CampaignScenarioConfig {
     pub abort_failed: u64,
     /// Ticks between periodic reconcile sweeps.
     pub reconcile_interval: u64,
-    /// Hard horizon for the whole campaign, in ticks.
+    /// Horizon of each engine run ([`CampaignScenario::converge_on_v1`],
+    /// [`CampaignScenario::drive`]), in ticks counted from its start.
     pub max_ticks: u64,
     /// `(tick offset, vehicle index)`: scheduled mid-wave reboots.  Offsets
     /// are relative to the start of [`CampaignScenario::drive`]; indices
@@ -105,37 +108,12 @@ impl Default for CampaignScenarioConfig {
     }
 }
 
-/// Outcome of one full campaign run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignReport {
-    /// Fleet ticks consumed.
-    pub ticks: u64,
-    /// Terminal campaign status.
-    pub status: CampaignStatus,
-    /// Vehicles the campaign exposed (had their manifest rewritten).
-    pub exposed: u64,
-    /// Exposed vehicles whose install converged.
-    pub succeeded: u64,
-    /// Exposed vehicles whose install failed.
-    pub failed: u64,
-    /// Vehicles rolled back to their last-good manifest.
-    pub rolled_back: u64,
-    /// Reboots executed mid-campaign.
-    pub rebooted: usize,
-    /// Operations escalated by the reliability plane.
-    pub retry_failures: u64,
-    /// Final transport statistics (conservation held at every tick).
-    pub transport: TransportStats,
-}
-
 /// The fleet scenario wrapped around one server-orchestrated campaign.
 #[derive(Debug)]
 pub struct CampaignScenario {
     /// The underlying fleet scenario (server, hub, vehicles, handles).
     pub inner: FleetScenario,
     config: CampaignScenarioConfig,
-    /// Initial registration order (reboot indices refer to this).
-    initial_ids: Vec<VehicleId>,
 }
 
 /// Builds the bad-version telemetry app: same shape as the fleet's
@@ -150,8 +128,7 @@ pub struct CampaignScenario {
 pub fn bad_telemetry_app(workers: u16) -> Result<AppDefinition> {
     let mut definition = AppDefinition::new(AppId::new(APP_TELEMETRY_BAD));
     let mut conf = SwConf::new(FLEET_MODEL);
-    for i in 0..workers {
-        let worker = EcuId::new(i + 2);
+    for worker in worker_ids(workers) {
         let op_id = PluginId::new(format!("OPBAD-{worker}"));
         definition = definition.with_plugin(PluginArtifact {
             id: op_id.clone(),
@@ -164,15 +141,6 @@ pub fn bad_telemetry_app(workers: u16) -> Result<AppDefinition> {
 }
 
 impl CampaignScenario {
-    /// Builds a campaign scenario with the default configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build() -> Result<Self> {
-        Self::build_with(CampaignScenarioConfig::default())
-    }
-
     /// Builds a campaign scenario with an explicit configuration.  The
     /// bad-version app is uploaded alongside the fleet's telemetry apps so
     /// any run can roll it out.
@@ -181,7 +149,7 @@ impl CampaignScenario {
     ///
     /// Propagates configuration errors from any subsystem.
     pub fn build_with(config: CampaignScenarioConfig) -> Result<Self> {
-        let mut inner = FleetScenario::build_with(FleetScenarioConfig {
+        let fleet = FleetScenarioConfig {
             vehicles: config.vehicles,
             workers_per_vehicle: config.workers_per_vehicle,
             transport: TransportConfig {
@@ -191,18 +159,14 @@ impl CampaignScenario {
             },
             shards: config.shards,
             ..FleetScenarioConfig::default()
-        })?;
-        inner.fleet.server.set_retry_policy(config.retry.clone());
+        };
+        let mut inner =
+            FleetScenario::scripted(fleet, &config.retry, 0, None, config.reconcile_interval)?;
         inner
             .fleet
             .server
             .upload_app(bad_telemetry_app(config.workers_per_vehicle)?)?;
-        let initial_ids = inner.fleet.vehicle_ids().to_vec();
-        Ok(CampaignScenario {
-            inner,
-            config,
-            initial_ids,
-        })
+        Ok(CampaignScenario { inner, config })
     }
 
     /// The active configuration.
@@ -230,32 +194,23 @@ impl CampaignScenario {
         }
     }
 
-    /// One fleet tick, asserting transport conservation.  The fleet tick
-    /// itself evaluates the campaign gates (`TrustedServer::step_campaigns`
-    /// runs at the serial point of every round).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.step()
-    }
-
     /// Converges the whole fleet on the v1 telemetry app through the desired
     /// plane — the baseline state an update campaign then rewrites.
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::RetryExhausted`] if the fleet does not converge
-    /// within the configured horizon.
+    /// Returns [`dynar_foundation::error::DynarError::RetryExhausted`] if the
+    /// fleet does not converge within the configured horizon, counted from
+    /// this call.
     pub fn converge_on_v1(&mut self) -> Result<()> {
-        let user = self.inner.user.clone();
-        let v1 = AppId::new(APP_TELEMETRY);
-        for id in self.initial_ids.clone() {
-            self.inner.fleet.server.set_desired(&user, &id, &v1)?;
-        }
-        self.run_until(|scenario| scenario.fleet_converged())
+        let wave = Event::Wave {
+            op: WaveOp::SetDesired,
+            app: AppId::new(APP_TELEMETRY),
+            vehicles: self.inner.fleet.vehicle_ids().to_vec(),
+        };
+        self.inner.schedule(self.inner.fleet.now().as_u64(), wave)?;
+        self.inner
+            .run_until(self.config.max_ticks, FleetScenario::fleet_converged)
     }
 
     /// Creates the campaign and drives it to a verified end state — see
@@ -264,116 +219,49 @@ impl CampaignScenario {
     /// # Errors
     ///
     /// Propagates campaign-creation and drive errors.
-    pub fn run_campaign(&mut self, spec: CampaignSpec) -> Result<CampaignReport> {
-        let user = self.inner.user.clone();
+    pub fn run_campaign(&mut self, spec: CampaignSpec) -> Result<ScenarioReport> {
         let id = spec.id.clone();
-        self.inner.fleet.server.create_campaign(&user, spec)?;
+        let now = self.inner.fleet.now().as_u64();
+        self.inner.schedule(now, Event::Campaign(spec))?;
         self.drive(&id)
     }
 
-    /// Runs the fleet until the (already created) campaign reaches a
+    /// Runs the fleet on the scenario engine until the campaign reaches a
     /// terminal status *and* every vehicle converged on its (possibly
     /// rolled-back) manifest, with the configured reboots (tick offsets
     /// relative to this call) and reconcile sweeps firing along the way.
-    /// Ends with a ground-truth verification round.
+    /// Ends with a ground-truth check ([`Invariants::GroundTruth`]).
     ///
     /// # Errors
     ///
-    /// Propagates step errors and invariant violations; returns
-    /// [`DynarError::RetryExhausted`] on horizon exhaustion.
-    pub fn drive(&mut self, id: &CampaignId) -> Result<CampaignReport> {
+    /// Returns [`dynar_foundation::error::DynarError::InvalidConfiguration`]
+    /// for a reboot naming a vehicle outside the fleet, propagates step
+    /// errors and invariant violations, and returns
+    /// [`dynar_foundation::error::DynarError::RetryExhausted`] on horizon
+    /// exhaustion.
+    pub fn drive(&mut self, id: &CampaignId) -> Result<ScenarioReport> {
         let start = self.inner.fleet.now().as_u64();
-        let mut reboots = self.config.reboots.clone();
-        let mut rebooted = 0usize;
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= start + self.config.max_ticks {
-                return Err(horizon_exhausted(
-                    format!(
-                        "campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    now,
-                ));
-            }
-
-            let mut due = Vec::new();
-            reboots.retain(|&(tick, index)| {
-                if start + tick <= now {
-                    due.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due {
-                let vehicle = self.initial_ids[index].clone();
-                self.inner.reboot_vehicle(&vehicle)?;
-                rebooted += 1;
-            }
-
-            self.inner.reconcile_sweep(self.config.reconcile_interval);
-            self.inner.step()?;
-
-            let status = self
-                .inner
-                .fleet
-                .server
-                .campaign(id)
-                .map(|c| c.status)
-                .ok_or_else(|| DynarError::not_found("campaign", id))?;
-            let terminal = matches!(status, CampaignStatus::Complete | CampaignStatus::Aborted);
-            if terminal && reboots.is_empty() && self.fleet_converged() {
-                break;
-            }
+        for &(offset, index) in &self.config.reboots {
+            self.inner.schedule(start + offset, Event::Reboot(index))?;
         }
-
-        self.inner.truth_resync()?;
-        self.inner.verify_ground_truth()?;
-
-        let campaign = self
-            .inner
-            .fleet
-            .server
-            .campaign(id)
-            .ok_or_else(|| DynarError::not_found("campaign", id))?;
-        let report = CampaignReport {
-            ticks: self.inner.fleet.stats().ticks,
-            status: campaign.status,
-            exposed: campaign.counters.exposed,
-            succeeded: campaign.counters.succeeded,
-            failed: campaign.counters.failed,
-            rolled_back: campaign.counters.rolled_back,
-            rebooted,
-            retry_failures: self.inner.fleet.stats().retry_failures,
-            transport: self.inner.fleet.transport_stats(),
-        };
-        Ok(report)
+        self.inner.campaign = Some(id.clone());
+        self.inner.run_until(self.config.max_ticks, |scenario| {
+            let terminal = scenario.fleet.server.campaign(id).is_some_and(|campaign| {
+                matches!(
+                    campaign.status,
+                    CampaignStatus::Complete | CampaignStatus::Aborted
+                )
+            });
+            terminal && scenario.settled()
+        })?;
+        self.inner.verify(Invariants::GroundTruth)?;
+        Ok(self.inner.report())
     }
 
     /// Returns `true` when every vehicle reached exactly its desired
     /// manifest and nothing is pending or outstanding.
     pub fn fleet_converged(&self) -> bool {
         self.inner.fleet_converged()
-    }
-
-    /// Steps the fleet until `done` holds, bounded by the configured
-    /// horizon, sweeping reconcile periodically.
-    fn run_until(&mut self, done: impl Fn(&CampaignScenario) -> bool) -> Result<()> {
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(horizon_exhausted(
-                    format!("convergence within {} ticks", self.config.max_ticks),
-                    now,
-                ));
-            }
-            self.inner.reconcile_sweep(self.config.reconcile_interval);
-            self.inner.step()?;
-            if done(self) {
-                return Ok(());
-            }
-        }
     }
 
     /// The fleet-ops user driving the campaign.
@@ -387,9 +275,9 @@ mod tests {
     use super::*;
 
     // The pinned-seed acceptance campaigns (50 vehicles, the canary
-    // auto-abort and the lossy rollback) live in `tests/campaign.rs`, which
-    // CI runs as its own step; the unit tests here keep the scenario's
-    // building blocks honest at a smaller size.
+    // auto-abort and the lossy rollback) live in `tests/campaign.rs`; the
+    // unit tests here keep the scenario's building blocks honest at a
+    // smaller size.
 
     #[test]
     fn flash_crowd_single_wave_completes() {
@@ -404,7 +292,7 @@ mod tests {
         .unwrap();
         let spec = scenario.spec("flash-v1", APP_TELEMETRY, None);
         let report = scenario.run_campaign(spec).unwrap();
-        assert_eq!(report.status, CampaignStatus::Complete, "{report:?}");
+        assert_eq!(report.status, Some(CampaignStatus::Complete), "{report:?}");
         assert_eq!(report.exposed, 6, "whole fleet in one wave");
         assert_eq!(report.succeeded, 6, "{report:?}");
         assert_eq!(report.rolled_back, 0, "{report:?}");
@@ -424,7 +312,7 @@ mod tests {
         .unwrap();
         let spec = scenario.spec("staged-v1", APP_TELEMETRY, None);
         let report = scenario.run_campaign(spec).unwrap();
-        assert_eq!(report.status, CampaignStatus::Complete, "{report:?}");
+        assert_eq!(report.status, Some(CampaignStatus::Complete), "{report:?}");
         assert_eq!(report.exposed, 8, "{report:?}");
         assert_eq!(report.succeeded, 8, "{report:?}");
         let campaign = scenario
@@ -451,7 +339,7 @@ mod tests {
 
         let spec = scenario.spec("bad-v2", APP_TELEMETRY_BAD, Some(APP_TELEMETRY));
         let report = scenario.run_campaign(spec).unwrap();
-        assert_eq!(report.status, CampaignStatus::Aborted, "{report:?}");
+        assert_eq!(report.status, Some(CampaignStatus::Aborted), "{report:?}");
         assert_eq!(report.exposed, 1, "the canary only — no ramp opened");
         assert_eq!(report.failed, 1, "{report:?}");
         assert_eq!(report.rolled_back, 1, "{report:?}");
@@ -467,5 +355,40 @@ mod tests {
                 "{id}: back on (or still on) v1"
             );
         }
+    }
+
+    /// Regression: the horizon used to count from tick 0, so converging a
+    /// fleet that had already run `max_ticks` rounds failed at once with
+    /// `RetryExhausted`, without stepping.
+    #[test]
+    fn the_horizon_counts_from_the_call_not_from_tick_zero() {
+        let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
+            vehicles: 4,
+            workers_per_vehicle: 2,
+            max_ticks: 200,
+            ..CampaignScenarioConfig::default()
+        })
+        .unwrap();
+        scenario.inner.fleet.run(250).unwrap();
+        scenario.converge_on_v1().unwrap();
+        assert!(scenario.fleet_converged());
+    }
+
+    #[test]
+    fn a_reboot_outside_the_fleet_is_a_configuration_error() {
+        let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
+            vehicles: 4,
+            workers_per_vehicle: 2,
+            reboots: vec![(5, 4)],
+            ..CampaignScenarioConfig::default()
+        })
+        .unwrap();
+        let spec = scenario.spec("flash-v1", APP_TELEMETRY, None);
+        let result = scenario.run_campaign(spec);
+        assert!(matches!(
+            result,
+            Err(dynar_foundation::error::DynarError::InvalidConfiguration(_))
+        ));
+        assert_eq!(scenario.inner.fleet.now().as_u64(), 0, "no round ran");
     }
 }

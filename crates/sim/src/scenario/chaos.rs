@@ -16,13 +16,14 @@
 //! * **Conservation** — the transport accounts for every message at every
 //!   tick: `sent == delivered + lost + dropped (+ in-flight)`.
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
-use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, VehicleId};
-use dynar_foundation::time::Tick;
-use dynar_server::server::{DeploymentStatus, RetryPolicy};
+use dynar_fes::transport::TransportConfig;
+use dynar_foundation::error::Result;
+use dynar_foundation::ids::AppId;
+use dynar_server::server::RetryPolicy;
 
-use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2};
+use crate::scenario::fleet::{
+    Event, FleetScenario, FleetScenarioConfig, Invariants, WaveOp, APP_TELEMETRY, APP_TELEMETRY_V2,
+};
 
 /// A temporary partition between the trusted server and part of the fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,11 +88,9 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Outcome counters of one full chaos run.
+/// The wave tallies of one full chaos run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
-    /// Fleet ticks consumed by the whole run.
-    pub ticks: u64,
     /// Vehicles whose v1 install converged to `Installed`.
     pub installed_v1: usize,
     /// Vehicles whose v1 install converged to a typed failure.
@@ -100,266 +99,66 @@ pub struct ChaosReport {
     pub uninstalled: usize,
     /// Vehicles whose v2 install converged to `Installed`.
     pub installed_v2: usize,
-    /// Operations escalated by the server after exhausting retries.
-    pub retry_failures: u64,
-    /// Final transport statistics (conservation holds at every tick).
-    pub transport: TransportStats,
 }
 
-/// The fleet scenario wrapped in a hostile transport.
-#[derive(Debug)]
-pub struct ChaosScenario {
-    /// The underlying fleet scenario (server, hub, vehicles, handles).
-    pub inner: FleetScenario,
-    config: ChaosConfig,
-    partition_injected: bool,
-}
-
-impl ChaosScenario {
-    /// Builds a chaos scenario with the default configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build() -> Result<Self> {
-        Self::build_with(ChaosConfig::default())
-    }
-
-    /// Builds a chaos scenario with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build_with(config: ChaosConfig) -> Result<Self> {
-        let mut inner = FleetScenario::build_with(FleetScenarioConfig {
-            vehicles: config.vehicles,
-            workers_per_vehicle: config.workers_per_vehicle,
-            transport: TransportConfig {
-                latency_ticks: config.latency_ticks,
-                loss_probability: config.loss_probability,
-                seed: config.seed,
-            },
-            shards: config.shards,
-            ..FleetScenarioConfig::default()
-        })?;
-        inner.fleet.server.set_retry_policy(config.retry.clone());
-
-        // Per-link faults: jitter on both directions, asymmetric loss on the
-        // uplink when configured.  Faults are keyed by endpoint names, so
-        // installing them on every shard hub is inert where a pair never
-        // communicates.
-        {
-            let ids = inner.fleet.vehicle_ids();
-            let server = inner.fleet.server_endpoint().to_owned();
-            let endpoints: Vec<String> = ids
-                .iter()
-                .filter_map(|id| inner.fleet.endpoint_of(id).map(str::to_owned))
-                .collect();
-            for endpoint in endpoints {
-                inner.fleet.set_link_fault(
-                    &server,
-                    &endpoint,
-                    LinkFault::jittery(config.jitter_ticks),
-                );
-                inner.fleet.set_link_fault(
-                    &endpoint,
-                    &server,
-                    LinkFault {
-                        loss_probability: config.uplink_loss_probability,
-                        jitter_ticks: config.jitter_ticks,
-                        partition_until: None,
-                    },
-                );
-            }
-        }
-
-        Ok(ChaosScenario {
-            inner,
-            config,
-            partition_injected: false,
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
-    /// One fleet tick under chaos: injects the scheduled partition when its
-    /// start tick is reached and asserts the transport conservation
-    /// invariant afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        if let Some(plan) = &self.config.partition {
-            if !self.partition_injected && self.inner.fleet.now().as_u64() >= plan.start_tick {
-                let heal_at = Tick::new(plan.start_tick + plan.duration_ticks);
-                let server = self.inner.fleet.server_endpoint().to_owned();
-                let cut: Vec<String> = self
-                    .inner
-                    .fleet
-                    .vehicle_ids()
-                    .iter()
-                    .take(plan.vehicles)
-                    .filter_map(|id| self.inner.fleet.endpoint_of(id).map(str::to_owned))
-                    .collect();
-                for endpoint in cut {
-                    self.inner.fleet.partition(&server, &endpoint, heal_at);
-                }
-                self.partition_injected = true;
-            }
-        }
-        self.inner.step()
-    }
-
-    /// Ticks until no target has a `Pending` operation for `app` any more
-    /// (every operation resolved to installed, uninstalled or typed-failed),
-    /// returning the ticks consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::RetryExhausted`] if convergence is not reached
-    /// within the configured per-wave horizon, and propagates step errors.
-    pub fn converge(&mut self, app: &AppId, targets: &[VehicleId]) -> Result<u64> {
-        let resolved = |scenario: &Self| {
-            targets.iter().all(|v| {
-                !matches!(
-                    scenario.inner.fleet.server.deployment_status(v, app),
-                    DeploymentStatus::Pending { .. }
-                )
-            })
-        };
-        for tick in 0..self.config.max_ticks_per_wave {
-            if resolved(self) {
-                return Ok(tick);
-            }
-            self.step()?;
-        }
-        if resolved(self) {
-            return Ok(self.config.max_ticks_per_wave);
-        }
-        Err(DynarError::RetryExhausted {
-            operation: format!("convergence of {app} across {} vehicles", targets.len()),
-            attempts: u32::try_from(self.config.max_ticks_per_wave).unwrap_or(u32::MAX),
-        })
-    }
-
-    /// Runs the full chaos campaign: install v1 everywhere, then update the
-    /// convergent vehicles to v2 (uninstall + reinstall), all under loss,
-    /// jitter and the scheduled partition.
+impl ChaosConfig {
+    /// Runs the full chaos campaign on the scenario engine: install v1
+    /// everywhere, then update the convergent vehicles to v2 (uninstall +
+    /// reinstall), all under loss, jitter and the scheduled partition; then
+    /// drains twenty ticks and checks that nothing was applied twice.
+    /// [`FleetScenario::report`] has the run's totals.
     ///
     /// # Errors
     ///
     /// Propagates convergence timeouts, step errors and invariant
     /// violations — a clean run means the reliability plane held.
-    pub fn run(&mut self) -> Result<ChaosReport> {
-        let user = self.inner.user.clone();
-        let v1 = AppId::new(APP_TELEMETRY);
-        let v2 = AppId::new(APP_TELEMETRY_V2);
-        let all: Vec<VehicleId> = self.inner.fleet.vehicle_ids().to_vec();
-        let mut report = ChaosReport::default();
-
-        // --- Wave 1: install v1 everywhere, partition mid-flight ----------
-        self.inner.fleet.deploy_wave(&user, &v1, &all)?;
-        self.converge(&v1, &all)?;
-        let mut survivors = Vec::new();
-        for vehicle in &all {
-            match self.inner.fleet.server.deployment_status(vehicle, &v1) {
-                DeploymentStatus::Installed => {
-                    report.installed_v1 += 1;
-                    survivors.push(vehicle.clone());
-                }
-                DeploymentStatus::Failed(_) => report.failed_v1 += 1,
-                other => {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{vehicle}: v1 install resolved to unexpected status {other:?}"
-                    )))
-                }
-            }
+    pub fn run(&self) -> Result<(FleetScenario, ChaosReport)> {
+        let fleet = FleetScenarioConfig {
+            vehicles: self.vehicles,
+            workers_per_vehicle: self.workers_per_vehicle,
+            transport: TransportConfig {
+                latency_ticks: self.latency_ticks,
+                loss_probability: self.loss_probability,
+                seed: self.seed,
+            },
+            shards: self.shards,
+            ..FleetScenarioConfig::default()
+        };
+        let mut scenario = FleetScenario::scripted(
+            fleet,
+            &self.retry,
+            self.jitter_ticks,
+            self.uplink_loss_probability,
+            0,
+        )?;
+        if let Some(plan) = &self.partition {
+            let event = Event::Partition {
+                vehicles: plan.vehicles,
+                duration_ticks: plan.duration_ticks,
+            };
+            scenario.schedule(plan.start_tick, event)?;
         }
-
-        // --- Wave 2: uninstall v1 from the survivors ----------------------
-        for vehicle in &survivors {
-            self.inner.fleet.server.uninstall(&user, vehicle, &v1)?;
-        }
-        self.converge(&v1, &survivors)?;
-        let mut empty = Vec::new();
-        for vehicle in &survivors {
-            match self.inner.fleet.server.deployment_status(vehicle, &v1) {
-                DeploymentStatus::NotInstalled => {
-                    report.uninstalled += 1;
-                    empty.push(vehicle.clone());
-                }
-                DeploymentStatus::Failed(_) => {}
-                other => {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{vehicle}: v1 uninstall resolved to unexpected status {other:?}"
-                    )))
-                }
-            }
-        }
-
-        // --- Wave 3: install v2 on the emptied vehicles -------------------
-        self.inner.fleet.deploy_wave(&user, &v2, &empty)?;
-        self.converge(&v2, &empty)?;
-        for vehicle in &empty {
-            if self.inner.fleet.server.deployment_status(vehicle, &v2)
-                == DeploymentStatus::Installed
-            {
-                report.installed_v2 += 1;
-            }
-        }
+        let horizon = self.max_ticks_per_wave;
+        let (v1, v2) = (AppId::new(APP_TELEMETRY), AppId::new(APP_TELEMETRY_V2));
+        // Install v1 everywhere (partition mid-flight), uninstall it from the
+        // survivors, then install v2 on the emptied vehicles.
+        let all = scenario.fleet.vehicle_ids().to_vec();
+        let (survivors, failed_v1) = scenario.wave(WaveOp::Deploy, &v1, &all, horizon)?;
+        let (emptied, _) = scenario.wave(WaveOp::Uninstall, &v1, &survivors, horizon)?;
+        let (upgraded, _) = scenario.wave(WaveOp::Deploy, &v2, &emptied, horizon)?;
+        let report = ChaosReport {
+            installed_v1: survivors.len(),
+            failed_v1,
+            uninstalled: emptied.len(),
+            installed_v2: upgraded.len(),
+        };
 
         // Drain: let in-flight duplicates arrive and be deduplicated.
         for _ in 0..20 {
-            self.step()?;
+            scenario.step()?;
         }
-
-        self.verify_no_duplicates()?;
-        report.ticks = self.inner.fleet.stats().ticks;
-        report.retry_failures = self.inner.fleet.stats().retry_failures;
-        report.transport = self.inner.fleet.transport_stats();
-        Ok(report)
-    }
-
-    /// Checks the idempotence guarantee on every worker PIRTE: no rejected
-    /// operations (a reinstalled duplicate would be rejected), at most one
-    /// plug-in per worker, and internally consistent routing tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] naming the first worker
-    /// that saw a duplicate.
-    pub fn verify_no_duplicates(&self) -> Result<()> {
-        for handle in self.inner.handles() {
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: {} rejected operations — a duplicate got past the dedup window",
-                        handle.id, stats.rejected_operations
-                    )));
-                }
-                if pirte.plugin_count() > 1 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: {} plug-ins installed, at most 1 expected",
-                        handle.id,
-                        pirte.plugin_count()
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: compiled routes diverged",
-                        handle.id
-                    )));
-                }
-            }
-        }
-        Ok(())
+        scenario.verify(Invariants::NoDuplicates)?;
+        Ok((scenario, report))
     }
 }
 
@@ -368,38 +167,38 @@ mod tests {
     use super::*;
 
     // The default-configuration acceptance campaign (10 % loss + 50-tick
-    // partition) lives in `tests/chaos.rs`, which CI runs as its own step;
-    // the unit tests here cover the other corners of the loss range.
+    // partition) lives in `tests/chaos.rs`; the unit tests here cover the
+    // other corners of the loss range.
 
     #[test]
     fn chaos_at_twenty_percent_loss_with_asymmetric_uplink() {
-        let mut scenario = ChaosScenario::build_with(ChaosConfig {
+        let (scenario, report) = ChaosConfig {
             vehicles: 3,
             loss_probability: 0.20,
             uplink_loss_probability: Some(0.05),
             partition: None,
             seed: 0xBADF00D,
             ..ChaosConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.installed_v1 + report.failed_v1, 3, "{report:?}");
-        assert!(report.transport.lost > 0);
+        assert!(scenario.report().transport.lost > 0);
     }
 
     #[test]
     fn one_percent_loss_is_barely_noticeable() {
-        let mut scenario = ChaosScenario::build_with(ChaosConfig {
+        let (scenario, report) = ChaosConfig {
             vehicles: 4,
             loss_probability: 0.01,
             jitter_ticks: 0,
             partition: None,
             ..ChaosConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.installed_v1, 4, "{report:?}");
         assert_eq!(report.installed_v2, 4, "{report:?}");
-        assert_eq!(report.retry_failures, 0);
+        assert_eq!(scenario.report().retry_failures, 0);
     }
 }

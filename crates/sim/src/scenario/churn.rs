@@ -30,13 +30,14 @@
 //! [`TrustedServer::set_desired`]: dynar_server::server::TrustedServer::set_desired
 //! [`TrustedServer::clear_desired`]: dynar_server::server::TrustedServer::clear_desired
 
-use dynar_fes::transport::{TransportConfig, TransportStats};
-use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, VehicleId};
-use dynar_server::server::{DeploymentStatus, RetryPolicy};
+use dynar_fes::transport::TransportConfig;
+use dynar_foundation::error::Result;
+use dynar_foundation::ids::AppId;
+use dynar_server::server::RetryPolicy;
 
 use crate::scenario::fleet::{
-    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2,
+    Event, FleetScenario, FleetScenarioConfig, Invariants, ScenarioReport, WaveOp, APP_TELEMETRY,
+    APP_TELEMETRY_V2,
 };
 
 /// The churn events of one campaign, scheduled against the fleet tick.
@@ -119,300 +120,72 @@ impl Default for ChurnConfig {
     }
 }
 
-/// Outcome counters of one full churn campaign.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChurnReport {
-    /// Fleet ticks consumed by the whole campaign.
-    pub ticks: u64,
-    /// Vehicles in the fleet at the end (initial - removed + added).
-    pub surviving: usize,
-    /// Reboots executed.
-    pub rebooted: usize,
-    /// Vehicles removed mid-run.
-    pub removed: usize,
-    /// Vehicles added mid-run.
-    pub added: usize,
-    /// Operations escalated by the reliability/lifecycle plane (retry
-    /// exhaustion and fail-fast unreachable failures combined).
-    pub retry_failures: u64,
-    /// Replacement installs the worker PIRTEs performed (server-driven
-    /// convergence after lost acks; 0 unless acks were lost at the wrong
-    /// moment).
-    pub reinstalls: u64,
-    /// Final transport statistics (conservation held at every tick).
-    pub transport: TransportStats,
-}
-
-/// The fleet scenario wrapped in membership churn.
-#[derive(Debug)]
-pub struct ChurnScenario {
-    /// The underlying fleet scenario (server, hub, vehicles, handles).
-    pub inner: FleetScenario,
-    config: ChurnConfig,
-    /// Initial registration order (indices in [`ChurnPlan`] refer to this).
-    initial_ids: Vec<VehicleId>,
-    /// Ids removed so far (skipped by later events).
-    removed_ids: Vec<VehicleId>,
-}
-
-impl ChurnScenario {
-    /// Builds a churn scenario with the default configuration.
+impl ChurnConfig {
+    /// Runs the full churn campaign on the scenario engine: staggered v1
+    /// waves, scheduled reboots, removals and additions overlapping them, a
+    /// v1 → v2 update of a subset, a periodic reconcile sweep closing every
+    /// gap, and a final ground-truth check ([`Invariants::GroundTruth`]).
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build() -> Result<Self> {
-        Self::build_with(ChurnConfig::default())
-    }
-
-    /// Builds a churn scenario with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build_with(config: ChurnConfig) -> Result<Self> {
-        let mut inner = FleetScenario::build_with(FleetScenarioConfig {
-            vehicles: config.vehicles,
-            workers_per_vehicle: config.workers_per_vehicle,
+    /// Returns [`dynar_foundation::error::DynarError::InvalidConfiguration`]
+    /// for a plan naming a vehicle outside the fleet, propagates step errors
+    /// and invariant violations, and returns
+    /// [`dynar_foundation::error::DynarError::RetryExhausted`] if the fleet
+    /// does not converge within the configured horizon.
+    pub fn run(&self) -> Result<(FleetScenario, ScenarioReport)> {
+        let fleet = FleetScenarioConfig {
+            vehicles: self.vehicles,
+            workers_per_vehicle: self.workers_per_vehicle,
             transport: TransportConfig {
-                latency_ticks: config.latency_ticks,
-                loss_probability: config.loss_probability,
-                seed: config.seed,
+                latency_ticks: self.latency_ticks,
+                loss_probability: self.loss_probability,
+                seed: self.seed,
             },
-            shards: config.shards,
+            shards: self.shards,
             ..FleetScenarioConfig::default()
-        })?;
-        inner.fleet.server.set_retry_policy(config.retry.clone());
-        let initial_ids: Vec<VehicleId> = inner.fleet.vehicle_ids().to_vec();
-        let scenario = ChurnScenario {
-            inner,
-            config,
-            initial_ids,
-            removed_ids: Vec::new(),
         };
-        for id in &scenario.initial_ids {
-            scenario
-                .inner
-                .install_jitter(id, scenario.config.jitter_ticks);
-        }
-        Ok(scenario)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ChurnConfig {
-        &self.config
-    }
-
-    /// Vehicles removed by the campaign so far.
-    pub fn removed_ids(&self) -> &[VehicleId] {
-        &self.removed_ids
-    }
-
-    /// Runs the full churn campaign: staggered v1 waves, scheduled reboots,
-    /// removals and additions overlapping them, a v1 → v2 update of a subset,
-    /// a periodic reconcile sweep closing every gap, and a final
-    /// ground-truth verification round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates step errors and invariant violations; returns
-    /// [`DynarError::RetryExhausted`] if the fleet does not converge within
-    /// the configured horizon.
-    pub fn run(&mut self) -> Result<ChurnReport> {
-        let user = self.inner.user.clone();
+        let mut scenario = FleetScenario::scripted(
+            fleet,
+            &self.retry,
+            self.jitter_ticks,
+            None,
+            self.reconcile_interval,
+        )?;
         let v1 = AppId::new(APP_TELEMETRY);
-        let v2 = AppId::new(APP_TELEMETRY_V2);
-        let mut report = ChurnReport::default();
-
-        // Wave 1: the first half of the fleet desires v1.
-        let half = self.initial_ids.len() / 2;
-        for id in &self.initial_ids[..half] {
-            self.inner.fleet.server.set_desired(&user, id, &v1)?;
+        let wave = |vehicles: &[_]| Event::Wave {
+            op: WaveOp::SetDesired,
+            app: v1.clone(),
+            vehicles: vehicles.to_vec(),
+        };
+        let ids = scenario.fleet.vehicle_ids().to_vec();
+        let (first_half, second_half) = ids.split_at(ids.len() / 2);
+        scenario.schedule(0, wave(first_half))?;
+        for &(tick, index) in &self.plan.reboots {
+            scenario.schedule(tick, Event::Reboot(index))?;
         }
-
-        let mut reboots = self.config.plan.reboots.clone();
-        let mut removals = self.config.plan.removals.clone();
-        let mut additions = self.config.plan.additions.clone();
-        let mut second_wave_done = false;
-        let mut update_done = false;
-        let mut updated: Vec<VehicleId> = Vec::new();
-
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(horizon_exhausted(
-                    format!(
-                        "churn campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    now,
-                ));
-            }
-
-            // --- Scheduled churn events -----------------------------------
-            let mut due_reboots = Vec::new();
-            reboots.retain(|&(tick, index)| {
-                if tick <= now {
-                    due_reboots.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due_reboots {
-                let id = self.initial_ids[index].clone();
-                if self.removed_ids.contains(&id) {
-                    continue;
-                }
-                self.inner.reboot_vehicle(&id)?;
-                // Jitter faults are keyed by endpoint *name* and survive the
-                // re-registration, so the rebooted link stays as hostile as
-                // before.
-                report.rebooted += 1;
-            }
-            let mut due_removals = Vec::new();
-            removals.retain(|&(tick, index)| {
-                if tick <= now {
-                    due_removals.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due_removals {
-                let id = self.initial_ids[index].clone();
-                if self.removed_ids.contains(&id) {
-                    continue;
-                }
-                self.inner.remove_vehicle(&id)?;
-                self.removed_ids.push(id);
-                report.removed += 1;
-            }
-            let mut due_additions = 0usize;
-            additions.retain(|&tick| {
-                if tick <= now {
-                    due_additions += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            for _ in 0..due_additions {
-                let id = self.inner.add_vehicle_during_run()?;
-                self.inner.install_jitter(&id, self.config.jitter_ticks);
-                self.inner.fleet.server.set_desired(&user, &id, &v1)?;
-                report.added += 1;
-            }
-
-            // --- Staggered waves ------------------------------------------
-            if !second_wave_done && now >= self.config.second_wave_tick {
-                second_wave_done = true;
-                for id in &self.initial_ids[half..] {
-                    if self.removed_ids.contains(id) {
-                        continue;
-                    }
-                    self.inner.fleet.server.set_desired(&user, id, &v1)?;
-                }
-            }
-            if !update_done && now >= self.config.update_tick {
-                update_done = true;
-                updated = self
-                    .inner
-                    .fleet
-                    .vehicle_ids()
-                    .iter()
-                    .take(self.config.update_count)
-                    .cloned()
-                    .collect();
-                for id in updated.clone() {
-                    self.inner.fleet.server.clear_desired(&user, &id, &v1)?;
-                    self.inner.fleet.server.set_desired(&user, &id, &v2)?;
-                }
-            }
-
-            // --- The convergent control loop ------------------------------
-            self.inner.reconcile_sweep(self.config.reconcile_interval);
-            self.inner.step()?;
-
-            // --- Done? ----------------------------------------------------
-            let events_pending = !reboots.is_empty()
-                || !removals.is_empty()
-                || !additions.is_empty()
-                || !second_wave_done
-                || !update_done;
-            if !events_pending && self.fleet_converged() {
-                break;
-            }
+        for &(tick, index) in &self.plan.removals {
+            scenario.schedule(tick, Event::Remove(index))?;
         }
-
-        // Ground truth: every surviving ECM reports its state, and the
-        // resync path confirms (or repairs) the server's observed state.
-        self.inner.truth_resync()?;
-        self.verify_converged(&updated)?;
-
-        report.ticks = self.inner.fleet.stats().ticks;
-        report.surviving = self.inner.fleet.len();
-        report.retry_failures = self.inner.fleet.stats().retry_failures;
-        report.reinstalls = self
-            .inner
-            .handles()
-            .iter()
-            .flat_map(|h| h.workers.iter())
-            .map(|(_, _, pirte)| pirte.lock().stats().reinstalls)
-            .sum();
-        report.transport = self.inner.fleet.transport_stats();
-        Ok(report)
-    }
-
-    /// Returns `true` when every surviving vehicle reached exactly its
-    /// desired manifest and nothing is pending or outstanding.
-    pub fn fleet_converged(&self) -> bool {
-        self.inner.fleet_converged()
-    }
-
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one: the ground truth of every survivor
-    /// ([`FleetScenario::verify_ground_truth`]), the `updated` vehicles'
-    /// manifests, and the fail-fast resolution of the removed vehicles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_converged(&self, updated: &[VehicleId]) -> Result<()> {
-        self.inner.verify_ground_truth()?;
-        let server = &self.inner.fleet.server;
-        // An updated vehicle removed afterwards has no manifest to check.
-        for id in updated
-            .iter()
-            .filter(|id| self.inner.fleet.vehicle(id).is_some())
-        {
-            let desired = server.desired_manifest(id);
-            if desired != vec![AppId::new(APP_TELEMETRY_V2)] {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: updated vehicle's manifest is {desired:?}"
-                )));
-            }
+        for &tick in &self.plan.additions {
+            let join = Event::Join {
+                app: v1.clone(),
+                jitter_ticks: self.jitter_ticks,
+            };
+            scenario.schedule(tick, join)?;
         }
-        // Removed vehicles failed fast with the distinct unreachable reason
-        // (unless their wave had already fully converged before removal).
-        for id in &self.removed_ids {
-            if !server.pending_operations(id).is_empty() {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: removed vehicle still has pending operations"
-                )));
-            }
-            if let DeploymentStatus::Failed(reason) =
-                server.deployment_status(id, &AppId::new(APP_TELEMETRY))
-            {
-                if !reason.contains("unreachable") {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: removed vehicle failed with '{reason}', expected the \
-                         distinct unreachable reason"
-                    )));
-                }
-            }
-        }
-        Ok(())
+        scenario.schedule(self.second_wave_tick, wave(second_half))?;
+        let update = Event::Update {
+            from: v1.clone(),
+            to: AppId::new(APP_TELEMETRY_V2),
+            count: self.update_count,
+        };
+        scenario.schedule(self.update_tick, update)?;
+
+        scenario.run_until(self.max_ticks, FleetScenario::settled)?;
+        scenario.verify(Invariants::GroundTruth)?;
+        let report = scenario.report();
+        Ok((scenario, report))
     }
 }
 
@@ -421,12 +194,12 @@ mod tests {
     use super::*;
 
     // The pinned-seed acceptance campaign (20 vehicles, 10 % loss) lives in
-    // `tests/churn.rs`, which CI runs as its own step; the unit tests here
-    // keep the scenario's building blocks honest at a smaller size.
+    // `tests/churn.rs`; the unit tests here keep the scenario's building
+    // blocks honest at a smaller size.
 
     #[test]
     fn lossless_churn_converges_quickly() {
-        let mut scenario = ChurnScenario::build_with(ChurnConfig {
+        let (_, report) = ChurnConfig {
             vehicles: 4,
             workers_per_vehicle: 2,
             loss_probability: 0.0,
@@ -440,9 +213,9 @@ mod tests {
                 additions: vec![40],
             },
             ..ChurnConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.rebooted, 1, "{report:?}");
         assert_eq!(report.removed, 1, "{report:?}");
         assert_eq!(report.added, 1, "{report:?}");
@@ -452,41 +225,36 @@ mod tests {
 
     #[test]
     fn reboot_before_any_wave_recovers_to_an_empty_manifest() {
-        let mut scenario = ChurnScenario::build_with(ChurnConfig {
+        let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
             vehicles: 2,
             workers_per_vehicle: 2,
-            loss_probability: 0.0,
-            jitter_ticks: 0,
-            reconcile_interval: 10,
-            second_wave_tick: 5,
-            update_tick: 10,
-            update_count: 0,
-            plan: ChurnPlan::default(),
-            ..ChurnConfig::default()
+            transport: TransportConfig {
+                latency_ticks: 1,
+                loss_probability: 0.0,
+                seed: 0xC0FFEE,
+            },
+            ..FleetScenarioConfig::default()
         })
         .unwrap();
         // Manually reboot before anything is desired: the vehicle must come
         // back online purely through the announce/resync protocol.
-        let id = scenario.inner.fleet.vehicle_ids()[0].clone();
-        scenario.inner.reboot_vehicle(&id).unwrap();
-        assert!(!scenario.inner.fleet.server.is_online(&id));
+        let id = scenario.fleet.vehicle_ids()[0].clone();
+        scenario.reboot_vehicle(&id).unwrap();
+        assert!(!scenario.fleet.server.is_online(&id));
         for _ in 0..30 {
-            scenario.inner.step().unwrap();
+            scenario.step().unwrap();
         }
-        assert!(
-            scenario.inner.fleet.server.is_online(&id),
-            "announce landed"
-        );
-        assert_eq!(scenario.inner.fleet.server.vehicle_boot_epoch(&id), Some(1));
+        assert!(scenario.fleet.server.is_online(&id), "announce landed");
+        assert_eq!(scenario.fleet.server.vehicle_boot_epoch(&id), Some(1));
 
         // Even with an empty manifest the server confirmed the epoch (a
         // state-report request is an own-epoch downlink), so the gateway
         // stops re-announcing: the external link goes and stays quiet.
-        let before = scenario.inner.fleet.transport_stats().sent;
+        let before = scenario.fleet.transport_stats().sent;
         for _ in 0..100 {
-            scenario.inner.step().unwrap();
+            scenario.step().unwrap();
         }
-        let after = scenario.inner.fleet.transport_stats().sent;
+        let after = scenario.fleet.transport_stats().sent;
         assert_eq!(
             before, after,
             "no unbounded re-announce traffic after confirmation"

@@ -15,6 +15,17 @@
 //! each plug-in consumes sensor readings, applies its gain and actuates.  The
 //! v2 application does the same with a different gain, so an update wave is
 //! observable at the actuators while the rest of the fleet keeps driving.
+//!
+//! # One scenario engine
+//!
+//! Every scenario in this crate is a script of timed [`Event`]s run by
+//! [`FleetScenario::run_until`]: install and update waves, reboots, removals,
+//! joins, partitions, server crashes and campaigns are all scheduled against
+//! the absolute fleet clock with [`FleetScenario::schedule`].  Each tick of
+//! the engine checks the horizon, fires the due events in the order they
+//! were scheduled, runs the periodic reconcile sweep, steps the fleet
+//! (conservation-checked) and asks the caller whether to stop.  The end of a
+//! run is checked by one checker, [`FleetScenario::verify`].
 
 use dynar_bus::frame::CanId;
 use dynar_bus::network::BusConfig;
@@ -22,18 +33,20 @@ use dynar_core::plugin::PluginPortDirection;
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 use dynar_ecm::gateway::{EcmConfig, EcmSwc, SharedHub};
-use dynar_fes::transport::{LinkFault, TransportConfig};
+use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, SwcId, UserId, VehicleId};
+use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
 use dynar_rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
 use dynar_rte::ecu::Ecu;
 use dynar_rte::port::{PortDirection, PortSpec};
+use dynar_server::campaign::{CampaignId, CampaignSpec, CampaignStatus};
 use dynar_server::model::{
     AppDefinition, ConnectionDecl, HwConf, PluginArtifact, PluginPortDecl, PluginSwcDecl, SwConf,
     SystemSwConf, VirtualPortDecl, VirtualPortKindDecl,
 };
-use dynar_server::server::{DeploymentStatus, TrustedServer};
+use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
 use dynar_vm::assembler::assemble;
 
 use crate::fleet::Fleet;
@@ -99,6 +112,123 @@ pub struct VehicleHandles {
     pub workers: Vec<WorkerHandle>,
 }
 
+/// What a wave does to each of its vehicles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaveOp {
+    /// Imperative install ([`TrustedServer::deploy`]).
+    Deploy,
+    /// Imperative uninstall ([`TrustedServer::uninstall`]).
+    Uninstall,
+    /// Declarative install ([`TrustedServer::set_desired`]); the reconcile
+    /// sweep closes whatever gap loss and reboots open.
+    SetDesired,
+}
+
+/// One timed event of a scenario script.  Vehicle indices refer to the
+/// initial registration order; an event aimed at a vehicle that has left the
+/// fleet is skipped.
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// `op` for `app` on each listed vehicle, in list order.
+    Wave {
+        /// What the wave does.
+        op: WaveOp,
+        /// The application the wave acts on.
+        app: AppId,
+        /// The target vehicles.
+        vehicles: Vec<VehicleId>,
+    },
+    /// The first `count` vehicles of the current fleet stop desiring `from`
+    /// and desire `to` instead.
+    Update {
+        /// The application cleared from the manifests.
+        from: AppId,
+        /// The application desired instead.
+        to: AppId,
+        /// How many vehicles are updated.
+        count: usize,
+    },
+    /// The vehicle reboots ([`FleetScenario::reboot_vehicle`]).
+    Reboot(usize),
+    /// The vehicle leaves the fleet for good
+    /// ([`FleetScenario::remove_vehicle`]).
+    Remove(usize),
+    /// A factory-fresh vehicle joins, gets `jitter_ticks` of jitter on its
+    /// server link and desires `app`.
+    Join {
+        /// The application the newcomer desires.
+        app: AppId,
+        /// Jitter on both directions of its server link.
+        jitter_ticks: u64,
+    },
+    /// The first `vehicles` vehicles are cut off from the server for
+    /// `duration_ticks`, counted from the event's tick.
+    Partition {
+        /// How many vehicles are cut off.
+        vehicles: usize,
+        /// How long the partition lasts.
+        duration_ticks: u64,
+    },
+    /// The server process crashes and a successor is replayed from its
+    /// journal; it journals again every `compaction_interval` records and
+    /// announces a new incarnation.
+    Crash {
+        /// The successor journal's compaction interval.
+        compaction_interval: u32,
+    },
+    /// The operator creates a campaign.
+    Campaign(CampaignSpec),
+}
+
+/// Which end-of-run checks [`FleetScenario::verify`] applies on top of the
+/// ones it always applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Invariants {
+    /// Only that nothing was applied twice: at most one plug-in per worker.
+    /// For runs whose operations may end `Failed`, so that the manifest need
+    /// not hold.
+    NoDuplicates,
+    /// After a truth-resync round, every vehicle reached exactly its desired
+    /// manifest, on the server and in its worker PIRTEs.
+    GroundTruth,
+}
+
+/// Outcome counters of one scenario run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioReport {
+    /// Fleet ticks consumed so far.
+    pub ticks: u64,
+    /// Vehicles in the fleet at the end (initial - removed + added).
+    pub surviving: usize,
+    /// Reboots executed.
+    pub rebooted: usize,
+    /// Vehicles removed.
+    pub removed: usize,
+    /// Vehicles that joined mid-run.
+    pub added: usize,
+    /// Operations escalated by the reliability and lifecycle planes (retry
+    /// exhaustion and fail-fast unreachable failures combined).
+    pub retry_failures: u64,
+    /// Final transport statistics (conservation held at every tick).
+    pub transport: TransportStats,
+    /// Tick of the last server crash (0 if the server never crashed).
+    pub crashed_at: u64,
+    /// Size of the journal replayed at the last crash, in bytes.
+    pub journal_bytes: usize,
+    /// Server incarnation id at the end (1 = exactly one recovery).
+    pub incarnation: u32,
+    /// Terminal status of the campaign the run drove, if any.
+    pub status: Option<CampaignStatus>,
+    /// Vehicles that campaign exposed (had their manifest rewritten).
+    pub exposed: u64,
+    /// Exposed vehicles whose install converged.
+    pub succeeded: u64,
+    /// Exposed vehicles whose install failed.
+    pub failed: u64,
+    /// Vehicles rolled back to their last-good manifest.
+    pub rolled_back: u64,
+}
+
 /// The assembled fleet scenario.
 #[derive(Debug)]
 pub struct FleetScenario {
@@ -113,8 +243,22 @@ pub struct FleetScenario {
     bus: BusConfig,
     /// Per-vehicle boot epoch (0 = factory boot; bumped by every reboot).
     epochs: std::collections::HashMap<VehicleId, u32>,
-    /// Next VIN/endpoint index for vehicles joining mid-run.
+    /// Vehicles registered at build; event indices below it are valid.
+    initial_vehicles: usize,
+    /// Next VIN/endpoint index (the initial vehicles, then joiners).
     next_index: usize,
+    /// Scheduled events not fired yet, in scheduling order.
+    script: Vec<(u64, Event)>,
+    /// Ticks between the engine's reconcile sweeps (0 disables them).
+    reconcile_interval: u64,
+    rebooted: usize,
+    removed: Vec<VehicleId>,
+    /// Vehicles an [`Event::Update`] moved, with the app they now desire.
+    updated: Vec<(VehicleId, AppId)>,
+    crashed_at: u64,
+    journal_bytes: usize,
+    /// The campaign the run drives, reported by [`FleetScenario::report`].
+    pub(crate) campaign: Option<CampaignId>,
 }
 
 /// The built-in speed sensor: a periodic SW-C broadcasting an incrementing
@@ -130,7 +274,13 @@ impl ComponentBehavior for SpeedSensor {
     }
 }
 
-fn worker_ids(workers: u16) -> impl Iterator<Item = EcuId> {
+/// The id of the vehicle registered `index`-th (initial or joined).
+fn fleet_vehicle_id(index: usize) -> VehicleId {
+    VehicleId::new(format!("VIN-FLEET-{index:04}"))
+}
+
+/// The worker ECUs of a vehicle with `workers` of them: ECU2 onwards.
+pub(crate) fn worker_ids(workers: u16) -> impl Iterator<Item = EcuId> {
     (0..workers).map(|i| EcuId::new(i + 2))
 }
 
@@ -278,39 +428,52 @@ impl FleetScenario {
         server.upload_app(telemetry_app(APP_TELEMETRY, "", GAIN_V1, workers)?)?;
         server.upload_app(telemetry_app(APP_TELEMETRY_V2, "2", GAIN_V2, workers)?)?;
 
-        let mut fleet = Fleet::new(server, "server", config.transport.clone());
-
-        let mut handles = Vec::with_capacity(config.vehicles);
-        for index in 0..config.vehicles {
-            let vehicle_id = VehicleId::new(format!("VIN-FLEET-{index:04}"));
-            let endpoint = format!("vehicle-{index}");
-            fleet.server.register_vehicle(
-                vehicle_id.clone(),
-                fleet_hw(workers),
-                fleet_system(workers),
-            )?;
-            fleet.server.bind_vehicle(&user, &vehicle_id)?;
-
-            // Each vehicle's ECM registers on the hub of *its* shard.
-            let hub = fleet.hub_for(&vehicle_id);
-            let (vehicle, worker_handles) =
-                build_vehicle(&endpoint, workers, config.bus.clone(), &hub, 0)?;
-            fleet.add_vehicle(vehicle_id.clone(), endpoint, vehicle)?;
-            handles.push(VehicleHandles {
-                id: vehicle_id,
-                workers: worker_handles,
-            });
-        }
-
-        Ok(FleetScenario {
-            fleet,
+        let mut scenario = FleetScenario {
+            fleet: Fleet::new(server, "server", config.transport),
             user,
-            handles,
+            handles: Vec::with_capacity(config.vehicles),
             workers_per_vehicle: workers,
             bus: config.bus,
             epochs: std::collections::HashMap::new(),
-            next_index: config.vehicles,
-        })
+            initial_vehicles: config.vehicles,
+            next_index: 0,
+            script: Vec::new(),
+            reconcile_interval: 0,
+            rebooted: 0,
+            removed: Vec::new(),
+            updated: Vec::new(),
+            crashed_at: 0,
+            journal_bytes: 0,
+            campaign: None,
+        };
+        for _ in 0..config.vehicles {
+            scenario.add_vehicle_during_run()?;
+        }
+        Ok(scenario)
+    }
+
+    /// Builds a fleet for a scripted scenario: the server retries by
+    /// `retry`, every vehicle's server link gets `jitter_ticks` of jitter
+    /// both ways plus, if given, an uplink loss override, and the engine
+    /// reconciles every `reconcile_interval` ticks (0 never).
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors from any subsystem.
+    pub(crate) fn scripted(
+        config: FleetScenarioConfig,
+        retry: &RetryPolicy,
+        jitter_ticks: u64,
+        uplink_loss: Option<f64>,
+        reconcile_interval: u64,
+    ) -> Result<Self> {
+        let mut scenario = Self::build_with(config)?;
+        scenario.fleet.server.set_retry_policy(retry.clone());
+        scenario.reconcile_interval = reconcile_interval;
+        for index in 0..scenario.initial_vehicles {
+            scenario.install_link_faults(&fleet_vehicle_id(index), jitter_ticks, uplink_loss);
+        }
+        Ok(scenario)
     }
 
     /// Per-vehicle handles (worker ECUs, SW-C instances, PIRTEs).
@@ -321,11 +484,6 @@ impl FleetScenario {
     /// Worker ECUs per vehicle.
     pub fn workers_per_vehicle(&self) -> u16 {
         self.workers_per_vehicle
-    }
-
-    /// The current boot epoch of a vehicle (0 until its first reboot).
-    pub fn boot_epoch(&self, vehicle: &VehicleId) -> u32 {
-        self.epochs.get(vehicle).copied().unwrap_or(0)
     }
 
     /// Reboots a vehicle: the old incarnation — every ECU, every installed
@@ -352,6 +510,7 @@ impl FleetScenario {
         let epoch = self.epochs.entry(vehicle.clone()).or_insert(0);
         *epoch += 1;
         let epoch = *epoch;
+        self.rebooted += 1;
 
         // Park the server first (no more pushes), then void the dead
         // incarnation's endpoint before the new one registers.
@@ -374,7 +533,8 @@ impl FleetScenario {
     }
 
     /// Removes a vehicle from the fleet for good: endpoint unregistered,
-    /// outstanding server operations failed fast as unreachable.
+    /// outstanding server operations failed fast as unreachable (which
+    /// [`FleetScenario::verify`] checks).
     ///
     /// # Errors
     ///
@@ -384,12 +544,14 @@ impl FleetScenario {
         self.fleet.remove_vehicle(vehicle)?;
         self.handles.retain(|h| &h.id != vehicle);
         self.epochs.remove(vehicle);
+        self.removed.push(vehicle.clone());
         Ok(())
     }
 
-    /// Adds a factory-fresh vehicle while the fleet is running (registered on
-    /// the server, wired onto the shared hub, epoch 0).  Returns its id; the
-    /// caller declares its desired manifest to put it to work.
+    /// Adds a factory-fresh vehicle, also while the fleet is running
+    /// (registered on the server, its ECM on the hub of its shard, epoch 0).
+    /// Returns its id; the caller declares its desired manifest to put it to
+    /// work.
     ///
     /// # Errors
     ///
@@ -397,7 +559,7 @@ impl FleetScenario {
     pub fn add_vehicle_during_run(&mut self) -> Result<VehicleId> {
         let index = self.next_index;
         self.next_index += 1;
-        let vehicle_id = VehicleId::new(format!("VIN-FLEET-{index:04}"));
+        let vehicle_id = fleet_vehicle_id(index);
         let endpoint = format!("vehicle-{index}");
         let workers = self.workers_per_vehicle;
         self.fleet.server.register_vehicle(
@@ -418,43 +580,295 @@ impl FleetScenario {
         Ok(vehicle_id)
     }
 
-    /// Installs the v1 telemetry app across the fleet in staged waves.
+    /// Installs the v1 telemetry app across the fleet in staged waves, each
+    /// run on the engine until it is installed.
     ///
     /// # Errors
     ///
-    /// Propagates deployment rejections and wave timeouts.
+    /// Propagates deployment rejections, wave timeouts and failed installs.
     pub fn install_telemetry(&mut self, wave_size: usize) -> Result<()> {
-        let user = self.user.clone();
-        self.fleet
-            .install_in_waves(&user, &AppId::new(APP_TELEMETRY), wave_size, 600)
+        let targets = self.fleet.vehicle_ids().to_vec();
+        self.waves_to(WaveOp::Deploy, APP_TELEMETRY, &targets, wave_size)
     }
 
-    /// Updates the given vehicles from v1 to v2 telemetry (uninstall wave
-    /// followed by install wave), while the rest of the fleet keeps running.
+    /// Updates the given vehicles from v1 to v2 telemetry (uninstall waves
+    /// followed by install waves), while the rest of the fleet keeps running.
     ///
     /// # Errors
     ///
-    /// Propagates rejections and wave timeouts.
+    /// Propagates rejections, wave timeouts and failed operations.
     pub fn update_telemetry(&mut self, targets: &[VehicleId], wave_size: usize) -> Result<()> {
-        let user = self.user.clone();
-        self.fleet.uninstall_in_waves(
-            &user,
-            &AppId::new(APP_TELEMETRY),
-            targets,
-            wave_size,
-            600,
-        )?;
+        self.waves_to(WaveOp::Uninstall, APP_TELEMETRY, targets, wave_size)?;
+        self.waves_to(WaveOp::Deploy, APP_TELEMETRY_V2, targets, wave_size)
+    }
+
+    /// Runs `op` for `app` over `targets` in waves of `wave_size`, each to
+    /// its wanted status within 600 ticks.
+    fn waves_to(
+        &mut self,
+        op: WaveOp,
+        app: &str,
+        targets: &[VehicleId],
+        wave_size: usize,
+    ) -> Result<()> {
+        let app = AppId::new(app);
         for wave in targets.chunks(wave_size.max(1)) {
-            self.fleet
-                .deploy_wave(&user, &AppId::new(APP_TELEMETRY_V2), wave)?;
-            self.fleet.await_deployment(
-                &AppId::new(APP_TELEMETRY_V2),
-                wave,
-                &dynar_server::server::DeploymentStatus::Installed,
-                600,
-            )?;
+            let (_, failed) = self.wave(op, &app, wave, 600)?;
+            if failed > 0 {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "{op:?} of {app} failed on {failed} of {} vehicles",
+                    wave.len()
+                )));
+            }
         }
         Ok(())
+    }
+
+    /// Runs one wave on the engine: `op` for `app` fires on `targets` now,
+    /// and the fleet runs until none of them has an operation for `app`
+    /// pending.  Returns the targets that reached the wave's wanted status
+    /// (`NotInstalled` for an uninstall, `Installed` otherwise) and how many
+    /// failed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the wave's rejections, step errors and the engine's
+    /// horizon error; returns [`DynarError::ProtocolViolation`] if a target
+    /// resolved to any other status.
+    pub fn wave(
+        &mut self,
+        op: WaveOp,
+        app: &AppId,
+        targets: &[VehicleId],
+        horizon: u64,
+    ) -> Result<(Vec<VehicleId>, usize)> {
+        if !targets.is_empty() {
+            let event = Event::Wave {
+                op,
+                app: app.clone(),
+                vehicles: targets.to_vec(),
+            };
+            self.schedule(self.fleet.now().as_u64(), event)?;
+            self.run_until(horizon, |scenario| {
+                targets.iter().all(|vehicle| {
+                    !matches!(
+                        scenario.fleet.server.deployment_status(vehicle, app),
+                        DeploymentStatus::Pending { .. }
+                    )
+                })
+            })?;
+        }
+        let wanted = match op {
+            WaveOp::Uninstall => DeploymentStatus::NotInstalled,
+            WaveOp::Deploy | WaveOp::SetDesired => DeploymentStatus::Installed,
+        };
+        let (mut reached, mut failed) = (Vec::new(), 0);
+        for vehicle in targets {
+            match self.fleet.server.deployment_status(vehicle, app) {
+                status if status == wanted => reached.push(vehicle.clone()),
+                DeploymentStatus::Failed(_) => failed += 1,
+                other => {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{vehicle}: {op:?} of {app} resolved to {other:?}"
+                    )))
+                }
+            }
+        }
+        Ok((reached, failed))
+    }
+
+    /// Schedules `event` at fleet tick `tick` (an overdue event fires on the
+    /// next tick of [`FleetScenario::run_until`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::InvalidConfiguration`] if the event names a
+    /// vehicle index at or above the initial fleet size.
+    pub fn schedule(&mut self, tick: u64, event: Event) -> Result<()> {
+        if let Event::Reboot(index) | Event::Remove(index) = event {
+            if index >= self.initial_vehicles {
+                return Err(DynarError::invalid_config(format!(
+                    "event at tick {tick} names vehicle {index} of a fleet of {}",
+                    self.initial_vehicles
+                )));
+            }
+        }
+        self.script.push((tick, event));
+        Ok(())
+    }
+
+    /// The scenario engine.  Each tick: fail once `horizon` ticks have
+    /// passed since the call, fire the due events in the order they were
+    /// scheduled, reconcile every vehicle on ticks that are a multiple of the
+    /// reconcile interval, step the fleet ([`FleetScenario::step`]), and
+    /// return once `stop` holds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates event and step errors; returns
+    /// [`DynarError::RetryExhausted`] when the horizon runs out.
+    pub fn run_until(
+        &mut self,
+        horizon: u64,
+        mut stop: impl FnMut(&FleetScenario) -> bool,
+    ) -> Result<()> {
+        let start = self.fleet.now().as_u64();
+        loop {
+            let now = self.fleet.now().as_u64();
+            if now - start >= horizon {
+                return Err(DynarError::RetryExhausted {
+                    operation: format!("scenario convergence within {horizon} ticks"),
+                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
+                });
+            }
+            let due: Vec<(u64, Event)> = self
+                .script
+                .extract_if(.., |(tick, _)| *tick <= now)
+                .collect();
+            for (tick, event) in due {
+                self.fire(tick, event)?;
+            }
+            self.reconcile_sweep(now);
+            self.step()?;
+            if stop(self) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The convergent control loop's periodic half: reconciles every vehicle
+    /// against its desired manifest on ticks that are a multiple of the
+    /// reconcile interval (0 disables the sweep).
+    fn reconcile_sweep(&mut self, now: u64) {
+        if self.reconcile_interval > 0 && now.is_multiple_of(self.reconcile_interval) {
+            for vehicle in self.fleet.vehicle_ids().to_vec() {
+                let _ = self.fleet.server.reconcile(&vehicle);
+            }
+        }
+    }
+
+    /// Applies one event scheduled at `tick`.
+    fn fire(&mut self, tick: u64, event: Event) -> Result<()> {
+        let user = self.user.clone();
+        match event {
+            Event::Wave { op, app, vehicles } => {
+                for vehicle in &vehicles {
+                    if self.fleet.vehicle(vehicle).is_none() {
+                        continue;
+                    }
+                    let server = &mut self.fleet.server;
+                    match op {
+                        WaveOp::Deploy => server.deploy(&user, vehicle, &app)?,
+                        WaveOp::Uninstall => server.uninstall(&user, vehicle, &app)?,
+                        WaveOp::SetDesired => server.set_desired(&user, vehicle, &app)?,
+                    };
+                }
+            }
+            Event::Update { from, to, count } => {
+                let targets = self.fleet.vehicle_ids()[..count.min(self.fleet.len())].to_vec();
+                for vehicle in targets {
+                    self.fleet.server.clear_desired(&user, &vehicle, &from)?;
+                    self.fleet.server.set_desired(&user, &vehicle, &to)?;
+                    self.updated.push((vehicle, to.clone()));
+                }
+            }
+            Event::Reboot(index) | Event::Remove(index) => {
+                // A vehicle removed earlier has nothing left to reboot or remove.
+                let vehicle = fleet_vehicle_id(index);
+                if self.fleet.vehicle(&vehicle).is_some() {
+                    if matches!(event, Event::Reboot(_)) {
+                        self.reboot_vehicle(&vehicle)?;
+                    } else {
+                        self.remove_vehicle(&vehicle)?;
+                    }
+                }
+            }
+            Event::Join { app, jitter_ticks } => {
+                let vehicle = self.add_vehicle_during_run()?;
+                self.install_link_faults(&vehicle, jitter_ticks, None);
+                self.fleet.server.set_desired(&user, &vehicle, &app)?;
+            }
+            Event::Partition {
+                vehicles,
+                duration_ticks,
+            } => {
+                let heal_at = Tick::new(tick + duration_ticks);
+                let server = self.fleet.server_endpoint();
+                for index in 0..vehicles.min(self.initial_vehicles) {
+                    if let Some(endpoint) = self.fleet.endpoint_of(&fleet_vehicle_id(index)) {
+                        self.fleet.partition(server, endpoint, heal_at);
+                    }
+                }
+            }
+            Event::Crash {
+                compaction_interval,
+            } => self.crash_and_replay(compaction_interval)?,
+            Event::Campaign(spec) => {
+                self.campaign = Some(spec.id.clone());
+                self.fleet.server.create_campaign(&user, spec)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Kills the server process and replays its journal into a successor,
+    /// which must be byte-identical (snapshot and ledger) to the crashed one.
+    /// The successor journals too and bumps its incarnation id, re-stamping
+    /// everything still queued or outstanding and soliciting a state report
+    /// from every gateway.  The transport outlives the server, as the real
+    /// network would.
+    fn crash_and_replay(&mut self, compaction_interval: u32) -> Result<()> {
+        let server = &self.fleet.server;
+        let journal = server.journal_bytes().ok_or_else(|| {
+            DynarError::ProtocolViolation("crash scheduled but journaling is off".into())
+        })?;
+        let mut successor = TrustedServer::replay_with_shards(journal, server.shard_count())?;
+        if successor.snapshot_bytes() != server.snapshot_bytes()
+            || successor.ledger() != server.ledger()
+        {
+            return Err(DynarError::ProtocolViolation(
+                "replayed server (snapshot or ledger) diverges from the crashed one".into(),
+            ));
+        }
+        self.crashed_at = self.fleet.now().as_u64();
+        self.journal_bytes = journal.len();
+        successor.enable_journal(compaction_interval);
+        successor.begin_incarnation();
+        self.fleet.server = successor;
+        Ok(())
+    }
+
+    /// `true` once no scheduled event is left and the fleet converged
+    /// ([`FleetScenario::fleet_converged`]).
+    pub fn settled(&self) -> bool {
+        self.script.is_empty() && self.fleet_converged()
+    }
+
+    /// The run's outcome counters so far.
+    pub fn report(&self) -> ScenarioReport {
+        let stats = self.fleet.stats();
+        let campaign = self
+            .campaign
+            .as_ref()
+            .and_then(|id| self.fleet.server.campaign(id));
+        let counters = campaign.map(|c| c.counters).unwrap_or_default();
+        ScenarioReport {
+            ticks: stats.ticks,
+            surviving: self.fleet.len(),
+            rebooted: self.rebooted,
+            removed: self.removed.len(),
+            added: self.next_index - self.initial_vehicles,
+            retry_failures: stats.retry_failures,
+            transport: self.fleet.transport_stats(),
+            crashed_at: self.crashed_at,
+            journal_bytes: self.journal_bytes,
+            incarnation: self.fleet.server.incarnation(),
+            status: campaign.map(|c| c.status),
+            exposed: counters.exposed,
+            succeeded: counters.succeeded,
+            failed: counters.failed,
+            rolled_back: counters.rolled_back,
+        }
     }
 
     /// One fleet round, then the transport conservation check
@@ -477,11 +891,17 @@ impl FleetScenario {
         Ok(())
     }
 
-    /// Installs a jitter fault on both directions of one vehicle's server
-    /// link.  Faults are keyed by endpoint names, so they survive reboots —
-    /// and server crashes, since the transport outlives the server process.
-    pub(crate) fn install_jitter(&self, vehicle: &VehicleId, jitter_ticks: u64) {
-        if jitter_ticks == 0 {
+    /// Installs `jitter_ticks` of jitter on both directions of one vehicle's
+    /// server link, and the loss override on its uplink if given.  Faults
+    /// are keyed by endpoint names, so they survive reboots — and server
+    /// crashes, since the transport outlives the server process.
+    fn install_link_faults(
+        &self,
+        vehicle: &VehicleId,
+        jitter_ticks: u64,
+        uplink_loss: Option<f64>,
+    ) {
+        if jitter_ticks == 0 && uplink_loss.is_none() {
             return;
         }
         let Some(endpoint) = self.fleet.endpoint_of(vehicle) else {
@@ -490,19 +910,11 @@ impl FleetScenario {
         let server = self.fleet.server_endpoint();
         self.fleet
             .set_link_fault(server, endpoint, LinkFault::jittery(jitter_ticks));
-        self.fleet
-            .set_link_fault(endpoint, server, LinkFault::jittery(jitter_ticks));
-    }
-
-    /// The convergent control loop's periodic half: reconciles every vehicle
-    /// against its desired manifest on ticks that are a multiple of
-    /// `interval` (0 disables the sweep).
-    pub(crate) fn reconcile_sweep(&mut self, interval: u64) {
-        if interval > 0 && self.fleet.now().as_u64().is_multiple_of(interval) {
-            for vehicle in self.fleet.vehicle_ids().to_vec() {
-                let _ = self.fleet.server.reconcile(&vehicle);
-            }
-        }
+        let uplink = LinkFault {
+            loss_probability: uplink_loss,
+            ..LinkFault::jittery(jitter_ticks)
+        };
+        self.fleet.set_link_fault(endpoint, server, uplink);
     }
 
     /// Returns `true` when every vehicle reached exactly its desired
@@ -524,7 +936,7 @@ impl FleetScenario {
     /// # Errors
     ///
     /// Propagates [`FleetScenario::step`] errors.
-    pub(crate) fn truth_resync(&mut self) -> Result<()> {
+    fn truth_resync(&mut self) -> Result<()> {
         for _ in 0..8 {
             for vehicle in self.fleet.vehicle_ids().to_vec() {
                 let _ = self.fleet.server.request_state_report(&vehicle);
@@ -539,67 +951,110 @@ impl FleetScenario {
         Ok(())
     }
 
-    /// Checks every vehicle's end state against the ground truth, naming the
-    /// first violation: each desired app is `Installed`; no worker PIRTE of
-    /// any incarnation rejected an operation (nothing was applied twice —
-    /// not across a boot epoch, a server incarnation, the dedup window or a
-    /// rollback); the worker PIRTEs host exactly the plug-ins the manifest
-    /// implies, with consistent compiled routes; and the server's observed
-    /// state equals the desired manifest.
+    /// The end-of-run checker, naming the first violation.  With
+    /// [`Invariants::GroundTruth`] it first runs a truth-resync round.  One
+    /// pass over every worker PIRTE then checks that none of any
+    /// incarnation rejected an operation (nothing was applied twice — not
+    /// across a boot epoch, a server incarnation, the dedup window or a
+    /// rollback) and that its compiled routes are consistent; and either
+    /// that it hosts at most one plug-in ([`Invariants::NoDuplicates`]) or
+    /// exactly the plug-ins the desired manifest implies, with every desired
+    /// app `Installed` and the server's observed state equal to the manifest
+    /// ([`Invariants::GroundTruth`]).  Always checked as well: every desired
+    /// app of a removed vehicle settled or failed fast as unreachable, every
+    /// vehicle an [`Event::Update`] moved still desires exactly its new app,
+    /// and a journaling server's journal replays byte-identically.
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_ground_truth(&self) -> Result<()> {
+    /// Returns [`DynarError::ProtocolViolation`] describing the violation and
+    /// propagates truth-resync step errors.
+    pub fn verify(&mut self, invariants: Invariants) -> Result<()> {
+        let ground_truth = invariants == Invariants::GroundTruth;
+        if ground_truth {
+            self.truth_resync()?;
+        }
         let server = &self.fleet.server;
+        let violation = |message: String| Err(DynarError::ProtocolViolation(message));
         for handle in &self.handles {
             let id = &handle.id;
             let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
+            if ground_truth && !manifest_reached(server, id) {
+                let observed = server.installed_apps(id);
+                let statuses: Vec<DeploymentStatus> = desired
+                    .iter()
+                    .map(|app| server.deployment_status(id, app))
+                    .collect();
+                return violation(format!(
+                    "{id}: observed {observed:?} (desired apps {statuses:?}) has not reached \
+                     desired {desired:?} after truth resync"
+                ));
             }
             for (worker, _, pirte) in &handle.workers {
                 let pirte = pirte.lock();
                 let rejected = pirte.stats().rejected_operations;
                 if rejected != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
+                    return violation(format!(
                         "{id}/{worker}: {rejected} rejected operations — an operation was \
                          applied twice"
-                    )));
+                    ));
                 }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|app| expected_plugin(app, *worker))
-                    .collect();
-                expected.sort();
                 let mut actual: Vec<PluginId> = pirte
                     .plugin_states()
                     .into_iter()
                     .map(|(plugin, _)| plugin)
                     .collect();
                 actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
+                if ground_truth {
+                    let mut expected: Vec<PluginId> = desired
+                        .iter()
+                        .map(|app| expected_plugin(app, *worker))
+                        .collect();
+                    expected.sort();
+                    if actual != expected {
+                        return violation(format!(
+                            "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
+                        ));
+                    }
+                } else if actual.len() > 1 {
+                    return violation(format!(
+                        "{id}/{worker}: {} plug-ins installed, at most 1 expected",
+                        actual.len()
+                    ));
                 }
                 if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
+                    return violation(format!("{id}/{worker}: compiled routes diverged"));
                 }
             }
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
+        }
+        for id in &self.removed {
+            if !server.pending_operations(id).is_empty() {
+                return violation(format!(
+                    "{id}: removed vehicle still has pending operations"
+                ));
+            }
+            for app in server.desired_manifest(id) {
+                if let DeploymentStatus::Failed(reason) = server.deployment_status(id, &app) {
+                    if !reason.contains("unreachable") {
+                        return violation(format!(
+                            "{id}: removed vehicle failed with '{reason}', expected the \
+                             distinct unreachable reason"
+                        ));
+                    }
+                }
+            }
+        }
+        for (id, app) in &self.updated {
+            // An updated vehicle removed afterwards has no manifest to check.
+            let desired = server.desired_manifest(id);
+            if self.fleet.vehicle(id).is_some() && desired != [app.clone()] {
+                return violation(format!("{id}: updated vehicle's manifest is {desired:?}"));
+            }
+        }
+        if let Some(journal) = server.journal_bytes() {
+            let replayed = TrustedServer::replay_with_shards(journal, server.shard_count())?;
+            if replayed.snapshot_bytes() != server.snapshot_bytes() {
+                return violation("journal replay diverges from the live server".into());
             }
         }
         Ok(())
@@ -637,15 +1092,6 @@ fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
         _ => "",
     };
     PluginId::new(format!("OP{suffix}-{worker}"))
-}
-
-/// The error a scenario returns when `operation` did not converge by tick
-/// `now`, the end of its horizon.
-pub(crate) fn horizon_exhausted(operation: String, now: u64) -> DynarError {
-    DynarError::RetryExhausted {
-        operation,
-        attempts: u32::try_from(now).unwrap_or(u32::MAX),
-    }
 }
 
 /// Wires one fleet vehicle: the ECM ECU (gateway + speed sensor) and

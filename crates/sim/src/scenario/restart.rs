@@ -28,14 +28,21 @@
 //!   outlives the server process, as the real network would).
 //! * **Durability survives recovery** — the successor journals too; replaying
 //!   *its* journal at the end of the campaign is byte-identical again.
+//!
+//! The crash is an [`crate::scenario::fleet::Event::Crash`] on the scenario
+//! engine; every check above is part of the engine's step or of
+//! [`FleetScenario::verify`].
+//!
+//! [`TrustedServer::replay`]: dynar_server::server::TrustedServer::replay
+//! [`TrustedServer::begin_incarnation`]: dynar_server::server::TrustedServer::begin_incarnation
 
-use dynar_fes::transport::{TransportConfig, TransportStats};
-use dynar_foundation::error::{DynarError, Result};
+use dynar_fes::transport::TransportConfig;
+use dynar_foundation::error::Result;
 use dynar_foundation::ids::AppId;
-use dynar_server::server::{RetryPolicy, TrustedServer};
+use dynar_server::server::RetryPolicy;
 
 use crate::scenario::fleet::{
-    horizon_exhausted, FleetScenario, FleetScenarioConfig, APP_TELEMETRY,
+    Event, FleetScenario, FleetScenarioConfig, Invariants, ScenarioReport, WaveOp, APP_TELEMETRY,
 };
 
 /// How the restart campaign is sized, how hostile its transport is, and when
@@ -95,221 +102,65 @@ impl Default for RestartConfig {
     }
 }
 
-/// Outcome counters of one full restart campaign.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RestartReport {
-    /// Fleet ticks consumed by the whole campaign.
-    pub ticks: u64,
-    /// Tick at which the crash happened.
-    pub crashed_at: u64,
-    /// Size of the journal replayed at the crash, in bytes.
-    pub journal_bytes: usize,
-    /// Server incarnation id at the end (1 = exactly one recovery).
-    pub incarnation: u32,
-    /// Vehicle reboots executed concurrently with the recovery.
-    pub rebooted: usize,
-    /// Operations escalated by the reliability plane.
-    pub retry_failures: u64,
-    /// Final transport statistics (conservation held at every tick).
-    pub transport: TransportStats,
-}
-
-/// The fleet scenario wrapped in a mid-campaign server crash and recovery.
-#[derive(Debug)]
-pub struct RestartScenario {
-    /// The underlying fleet scenario (server, hub, vehicles, handles).
-    pub inner: FleetScenario,
-    config: RestartConfig,
-}
-
-impl RestartScenario {
-    /// Builds a restart scenario with the default configuration.
+impl RestartConfig {
+    /// Runs the full restart campaign on the scenario engine: the server
+    /// journals from the start (a control plane that only starts journaling
+    /// after the crash has nothing to replay), a fleet-wide v1 install wave
+    /// is driven declaratively, the scheduled crash and journal replay land
+    /// mid-wave, a vehicle reboot lands inside the recovery window, a
+    /// periodic reconcile sweep closes every gap, and a final ground-truth
+    /// check ([`Invariants::GroundTruth`]) includes a byte-identical replay
+    /// of the successor's journal.
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build() -> Result<Self> {
-        Self::build_with(RestartConfig::default())
-    }
-
-    /// Builds a restart scenario with an explicit configuration.  The
-    /// server's journal is enabled from the start — a control plane that
-    /// only starts journaling after the crash has nothing to replay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any subsystem.
-    pub fn build_with(config: RestartConfig) -> Result<Self> {
-        let mut inner = FleetScenario::build_with(FleetScenarioConfig {
-            vehicles: config.vehicles,
-            workers_per_vehicle: config.workers_per_vehicle,
+    /// Returns [`dynar_foundation::error::DynarError::InvalidConfiguration`]
+    /// for a reboot naming a vehicle outside the fleet, propagates step
+    /// errors and invariant violations, and returns
+    /// [`dynar_foundation::error::DynarError::RetryExhausted`] if the fleet
+    /// does not converge within the configured horizon.
+    pub fn run(&self) -> Result<(FleetScenario, ScenarioReport)> {
+        let fleet = FleetScenarioConfig {
+            vehicles: self.vehicles,
+            workers_per_vehicle: self.workers_per_vehicle,
             transport: TransportConfig {
-                latency_ticks: config.latency_ticks,
-                loss_probability: config.loss_probability,
-                seed: config.seed,
+                latency_ticks: self.latency_ticks,
+                loss_probability: self.loss_probability,
+                seed: self.seed,
             },
-            shards: config.shards,
+            shards: self.shards,
             ..FleetScenarioConfig::default()
-        })?;
-        inner.fleet.server.set_retry_policy(config.retry.clone());
-        inner
-            .fleet
-            .server
-            .enable_journal(config.compaction_interval);
-        for id in inner.fleet.vehicle_ids() {
-            inner.install_jitter(id, config.jitter_ticks);
-        }
-        Ok(RestartScenario { inner, config })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RestartConfig {
-        &self.config
-    }
-
-    /// Kills the server process and replays its journal into a successor,
-    /// asserting byte identity first.  The successor re-enables journaling
-    /// (a recovered control plane must be just as durable as the original)
-    /// and bumps its incarnation id, re-stamping everything still queued or
-    /// outstanding and soliciting a state report from every gateway.
-    ///
-    /// Returns the size of the replayed journal in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] if the replayed server is
-    /// not byte-identical to the crashed one, and propagates replay errors.
-    pub fn crash_and_recover(&mut self) -> Result<usize> {
-        let journal = self
-            .inner
-            .fleet
-            .server
-            .journal_bytes()
-            .ok_or_else(|| {
-                DynarError::ProtocolViolation("crash scheduled but journaling is off".into())
-            })?
-            .to_vec();
-        // The successor shards its state exactly like the crashed process
-        // did — replay is shard-agnostic, so this is a choice, not a need.
-        let shards = self.inner.fleet.server.shard_count();
-        let mut replayed = TrustedServer::replay_with_shards(&journal, shards)?;
-
-        // Byte identity: the recovered state *is* the crashed state.
-        let live = self.inner.fleet.server.snapshot_bytes();
-        if replayed.snapshot_bytes() != live {
-            return Err(DynarError::ProtocolViolation(
-                "replayed server diverges from the crashed one".into(),
-            ));
-        }
-        if replayed.ledger() != self.inner.fleet.server.ledger() {
-            return Err(DynarError::ProtocolViolation(
-                "replayed ledger diverges from the crashed one".into(),
-            ));
-        }
-
-        // The successor is a durable server too, and announces itself.
-        replayed.enable_journal(self.config.compaction_interval);
-        replayed.begin_incarnation();
-        // The crashed process is dropped here — everything it only held in
-        // memory dies with it, exactly as a real crash would lose it.
-        let _crashed = std::mem::replace(&mut self.inner.fleet.server, replayed);
-        Ok(journal.len())
-    }
-
-    /// Runs the full restart campaign: a fleet-wide v1 install wave driven
-    /// declaratively, the scheduled crash + journal recovery mid-wave, a
-    /// vehicle reboot landing inside the recovery window, a periodic
-    /// reconcile sweep closing every gap, and a final ground-truth
-    /// verification round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates step errors and invariant violations; returns
-    /// [`DynarError::RetryExhausted`] if the fleet does not converge within
-    /// the configured horizon.
-    pub fn run(&mut self) -> Result<RestartReport> {
-        let user = self.inner.user.clone();
-        let v1 = AppId::new(APP_TELEMETRY);
-        let mut report = RestartReport::default();
-
-        // The whole fleet desires v1 at tick 0: the crash lands mid-wave.
-        for id in self.inner.fleet.vehicle_ids().to_vec() {
-            self.inner.fleet.server.set_desired(&user, &id, &v1)?;
-        }
-
-        let mut crash_pending = true;
-        let mut reboot_pending = self.config.reboot;
-
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(horizon_exhausted(
-                    format!(
-                        "restart campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    now,
-                ));
-            }
-
-            if crash_pending && now >= self.config.crash_tick {
-                crash_pending = false;
-                report.crashed_at = now;
-                report.journal_bytes = self.crash_and_recover()?;
-            }
-            if let Some((tick, index)) = reboot_pending {
-                if now >= tick {
-                    reboot_pending = None;
-                    let id = self.inner.fleet.vehicle_ids()[index].clone();
-                    self.inner.reboot_vehicle(&id)?;
-                    report.rebooted += 1;
-                }
-            }
-
-            self.inner.reconcile_sweep(self.config.reconcile_interval);
-            self.inner.step()?;
-
-            if !crash_pending && reboot_pending.is_none() && self.fleet_converged() {
-                break;
-            }
-        }
-
-        // Ground truth: no incarnation of any PIRTE saw a duplicate —
-        // neither a stale pre-crash downlink nor a post-recovery re-push
-        // applied twice.
-        self.inner.truth_resync()?;
-        self.inner.verify_ground_truth()?;
-
-        // The recovered server is durable too: replaying the journal it has
-        // been writing since the crash reproduces it byte-for-byte.
-        let successor_journal = self
-            .inner
-            .fleet
-            .server
-            .journal_bytes()
-            .expect("successor journals")
-            .to_vec();
-        let shadow = TrustedServer::replay_with_shards(
-            &successor_journal,
-            self.inner.fleet.server.shard_count(),
+        };
+        let mut scenario = FleetScenario::scripted(
+            fleet,
+            &self.retry,
+            self.jitter_ticks,
+            None,
+            self.reconcile_interval,
         )?;
-        if shadow.snapshot_bytes() != self.inner.fleet.server.snapshot_bytes() {
-            return Err(DynarError::ProtocolViolation(
-                "post-recovery journal replay diverges".into(),
-            ));
+        scenario
+            .fleet
+            .server
+            .enable_journal(self.compaction_interval);
+        // The whole fleet desires v1 at tick 0: the crash lands mid-wave.
+        let wave = Event::Wave {
+            op: WaveOp::SetDesired,
+            app: AppId::new(APP_TELEMETRY),
+            vehicles: scenario.fleet.vehicle_ids().to_vec(),
+        };
+        scenario.schedule(0, wave)?;
+        let crash = Event::Crash {
+            compaction_interval: self.compaction_interval,
+        };
+        scenario.schedule(self.crash_tick, crash)?;
+        if let Some((tick, index)) = self.reboot {
+            scenario.schedule(tick, Event::Reboot(index))?;
         }
 
-        report.ticks = self.inner.fleet.stats().ticks;
-        report.incarnation = self.inner.fleet.server.incarnation();
-        report.retry_failures = self.inner.fleet.stats().retry_failures;
-        report.transport = self.inner.fleet.transport_stats();
-        Ok(report)
-    }
-
-    /// Returns `true` when every vehicle reached exactly its desired
-    /// manifest and nothing is pending or outstanding.
-    pub fn fleet_converged(&self) -> bool {
-        self.inner.fleet_converged()
+        scenario.run_until(self.max_ticks, FleetScenario::settled)?;
+        scenario.verify(Invariants::GroundTruth)?;
+        let report = scenario.report();
+        Ok((scenario, report))
     }
 }
 
@@ -318,13 +169,12 @@ mod tests {
     use super::*;
 
     // The pinned-seed acceptance campaign (12 vehicles, 10 % loss) lives in
-    // `tests/server_restart.rs`, which CI runs as its own step; the unit
-    // tests here keep the scenario's building blocks honest at a smaller
-    // size and without loss.
+    // `tests/server_restart.rs`; the unit tests here keep the scenario's
+    // building blocks honest at a smaller size and without loss.
 
     #[test]
     fn lossless_crash_recovery_converges() {
-        let mut scenario = RestartScenario::build_with(RestartConfig {
+        let (_, report) = RestartConfig {
             vehicles: 3,
             workers_per_vehicle: 2,
             loss_probability: 0.0,
@@ -332,9 +182,9 @@ mod tests {
             crash_tick: 4,
             reboot: Some((6, 0)),
             ..RestartConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.incarnation, 1, "{report:?}");
         assert_eq!(report.rebooted, 1, "{report:?}");
         assert!(report.journal_bytes > 0, "{report:?}");
@@ -346,7 +196,7 @@ mod tests {
         // A snapshot every 4 records: the crash almost certainly lands with
         // most of the history folded into the snapshot frame, exercising the
         // snapshot ⊕ tail replay path rather than a pure record replay.
-        let mut scenario = RestartScenario::build_with(RestartConfig {
+        let (_, report) = RestartConfig {
             vehicles: 2,
             workers_per_vehicle: 2,
             loss_probability: 0.0,
@@ -355,16 +205,16 @@ mod tests {
             crash_tick: 6,
             reboot: None,
             ..RestartConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.incarnation, 1, "{report:?}");
         assert_eq!(report.rebooted, 0, "{report:?}");
     }
 
     #[test]
     fn crash_before_any_package_was_pushed_recovers() {
-        let mut scenario = RestartScenario::build_with(RestartConfig {
+        let (_, report) = RestartConfig {
             vehicles: 2,
             workers_per_vehicle: 2,
             loss_probability: 0.0,
@@ -372,10 +222,24 @@ mod tests {
             crash_tick: 0,
             reboot: None,
             ..RestartConfig::default()
-        })
+        }
+        .run()
         .unwrap();
-        let report = scenario.run().unwrap();
         assert_eq!(report.crashed_at, 0, "{report:?}");
         assert_eq!(report.incarnation, 1, "{report:?}");
+    }
+
+    #[test]
+    fn a_reboot_outside_the_fleet_is_a_configuration_error() {
+        let result = RestartConfig {
+            vehicles: 2,
+            reboot: Some((14, 2)),
+            ..RestartConfig::default()
+        }
+        .run();
+        assert!(matches!(
+            result,
+            Err(dynar_foundation::error::DynarError::InvalidConfiguration(_))
+        ));
     }
 }

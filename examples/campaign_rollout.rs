@@ -38,7 +38,7 @@ fn main() {
 
     let spec = scenario.spec("rollout-v2", APP_TELEMETRY_V2, Some(APP_TELEMETRY));
     let report = scenario.run_campaign(spec).expect("rollout converges");
-    assert_eq!(report.status, CampaignStatus::Complete);
+    assert_eq!(report.status, Some(CampaignStatus::Complete));
     println!(
         "campaign complete: {} exposed, {} succeeded, {} ticks total",
         report.exposed, report.succeeded, report.ticks
@@ -48,7 +48,7 @@ fn main() {
     println!("== Act 2: a bad version trips the canary abort gate ==");
     let spec = scenario.spec("rollout-bad", APP_TELEMETRY_BAD, Some(APP_TELEMETRY_V2));
     let report = scenario.run_campaign(spec).expect("abort converges");
-    assert_eq!(report.status, CampaignStatus::Aborted);
+    assert_eq!(report.status, Some(CampaignStatus::Aborted));
     println!(
         "campaign aborted: {} exposed ({} failed), {} rolled back to last-good",
         report.exposed, report.failed, report.rolled_back

@@ -20,10 +20,8 @@
 
 use dynar::server::campaign::{CampaignId, CampaignStatus};
 use dynar::server::{Ledger, TrustedServer};
-use dynar::sim::scenario::campaign::{
-    CampaignReport, CampaignScenario, CampaignScenarioConfig, APP_TELEMETRY_BAD,
-};
-use dynar::sim::scenario::fleet::{APP_TELEMETRY, APP_TELEMETRY_V2};
+use dynar::sim::scenario::campaign::{CampaignScenario, CampaignScenarioConfig, APP_TELEMETRY_BAD};
+use dynar::sim::scenario::fleet::{ScenarioReport, APP_TELEMETRY, APP_TELEMETRY_V2};
 use dynar::sim::FleetStats;
 
 /// The pinned fleet size of the acceptance campaigns.
@@ -41,7 +39,7 @@ fn flash_crowd_campaign_converges_the_whole_fleet_in_one_wave() {
     .expect("campaign scenario builds");
     let spec = scenario.spec("flash-v1", APP_TELEMETRY, None);
     let report = scenario.run_campaign(spec).expect("flash crowd converges");
-    assert_eq!(report.status, CampaignStatus::Complete, "{report:?}");
+    assert_eq!(report.status, Some(CampaignStatus::Complete), "{report:?}");
     assert_eq!(report.exposed, FLEET as u64, "one wave, whole fleet");
     assert_eq!(report.succeeded, FLEET as u64, "{report:?}");
     assert_eq!(report.failed, 0, "{report:?}");
@@ -51,7 +49,7 @@ fn flash_crowd_campaign_converges_the_whole_fleet_in_one_wave() {
 
 /// Runs the bad-version canary campaign and asserts the abort contract:
 /// exposure bounded by the canary wave, every exposed vehicle restored.
-fn assert_canary_abort(mut scenario: CampaignScenario) -> CampaignReport {
+fn assert_canary_abort(mut scenario: CampaignScenario) -> ScenarioReport {
     scenario.converge_on_v1().expect("fleet converges on v1");
     let spec = scenario.spec("bad-v2", APP_TELEMETRY_BAD, Some(APP_TELEMETRY));
     let canary = scenario.config().canary as u64;
@@ -60,7 +58,7 @@ fn assert_canary_abort(mut scenario: CampaignScenario) -> CampaignReport {
     // rejected-operations — i.e. zero double-apply — invariant) before
     // returning.
     let report = scenario.run_campaign(spec).expect("abort converges");
-    assert_eq!(report.status, CampaignStatus::Aborted, "{report:?}");
+    assert_eq!(report.status, Some(CampaignStatus::Aborted), "{report:?}");
     assert_eq!(report.exposed, canary, "no ramp wave ever opened");
     assert!(
         (report.exposed as f64) < 0.05 * FLEET as f64,
@@ -128,7 +126,7 @@ fn sharded_abort_campaign(shards: usize) -> (Vec<u8>, Ledger, FleetStats) {
     let report = scenario.run_campaign(spec).expect("abort converges");
     assert_eq!(
         report.status,
-        CampaignStatus::Aborted,
+        Some(CampaignStatus::Aborted),
         "{shards} shards: {report:?}"
     );
     (
@@ -184,7 +182,7 @@ fn mid_campaign_crash_replays_byte_identically_at_all_shards() {
             .create_campaign(&user, spec)
             .expect("campaign creates");
         for _ in 0..10 {
-            scenario.step().expect("fleet steps");
+            scenario.inner.step().expect("fleet steps");
         }
 
         // Crash point: the campaign is mid-flight — waves open, acks in the
@@ -219,7 +217,7 @@ fn mid_campaign_crash_replays_byte_identically_at_all_shards() {
         let report = scenario.drive(&id).expect("rollout completes");
         assert_eq!(
             report.status,
-            CampaignStatus::Complete,
+            Some(CampaignStatus::Complete),
             "{shards} shards: {report:?}"
         );
         let journal = scenario

@@ -15,7 +15,8 @@
 //! here reproduces identically on any machine.
 
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario, PartitionPlan};
+use dynar::sim::scenario::chaos::{ChaosConfig, PartitionPlan};
+use dynar::sim::scenario::fleet::Invariants;
 
 /// The full pinned campaign at the given server shard count.  Shard count is
 /// an execution strategy, not a behaviour: every assertion below holds with
@@ -36,21 +37,21 @@ fn chaos_acceptance(shards: usize) {
         })
     );
 
-    let mut scenario = ChaosScenario::build_with(config).unwrap();
-    let report = scenario.run().unwrap();
+    let (mut scenario, waves) = config.run().unwrap();
+    let report = scenario.report();
 
     // Convergence: every operation of every wave resolved, and at this loss
     // rate the retry budget recovers all of them.
-    assert_eq!(report.installed_v1, 6, "{report:?}");
-    assert_eq!(report.uninstalled, 6, "{report:?}");
-    assert_eq!(report.installed_v2, 6, "{report:?}");
+    assert_eq!(waves.installed_v1, 6, "{waves:?}");
+    assert_eq!(waves.uninstalled, 6, "{waves:?}");
+    assert_eq!(waves.installed_v2, 6, "{waves:?}");
     assert_eq!(report.retry_failures, 0, "{report:?}");
 
     // The chaos was real: messages were lost and retransmissions happened
     // (more downlink pushes than the 3 packages × 6 vehicles × 2 installs +
     // 3 × 6 uninstalls = 54 a lossless run needs).
     assert!(report.transport.lost > 0, "{report:?}");
-    let fleet_stats = scenario.inner.fleet.stats();
+    let fleet_stats = scenario.fleet.stats();
     assert!(
         fleet_stats.downlink_messages > 54,
         "retransmissions must show up in the downlink count: {fleet_stats:?}"
@@ -62,10 +63,10 @@ fn chaos_acceptance(shards: usize) {
 
     // The fleet is alive after the campaign: sensor chains still actuate
     // with the v2 gain on every vehicle.
-    scenario.inner.fleet.run(40).unwrap();
-    for handle in scenario.inner.handles().to_vec() {
+    scenario.fleet.run(40).unwrap();
+    for handle in scenario.handles().to_vec() {
         for (worker, _, _) in &handle.workers {
-            let actuated = scenario.inner.actuator_value(&handle.id, *worker).unwrap();
+            let actuated = scenario.actuator_value(&handle.id, *worker).unwrap();
             let Value::I64(v) = actuated else {
                 panic!("{}/{worker}: no actuation, got {actuated:?}", handle.id);
             };
@@ -82,7 +83,7 @@ fn chaos_acceptance(shards: usize) {
             );
         }
     }
-    scenario.verify_no_duplicates().unwrap();
+    scenario.verify(Invariants::NoDuplicates).unwrap();
 }
 
 #[test]

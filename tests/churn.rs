@@ -21,9 +21,10 @@
 //! Everything is seeded (transport seed, fixed topology, scheduled events),
 //! so a failure here reproduces identically on any machine.
 
+use dynar::foundation::error::DynarError;
 use dynar::foundation::ids::AppId;
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan, ChurnScenario};
+use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan};
 use dynar::sim::scenario::fleet::{APP_TELEMETRY_V2, GAIN_V1, GAIN_V2};
 
 /// The full pinned campaign at the given server shard count.  Membership
@@ -56,8 +57,7 @@ fn churn_acceptance(shards: usize) {
     };
     assert!((config.loss_probability - 0.10).abs() < f64::EPSILON);
 
-    let mut scenario = ChurnScenario::build_with(config).unwrap();
-    let report = scenario.run().unwrap();
+    let (mut scenario, report) = config.run().unwrap();
 
     // Membership churn all happened: 20 - 1 removed + 1 added survivors.
     assert_eq!(report.rebooted, 3, "{report:?}");
@@ -83,16 +83,16 @@ fn churn_acceptance(shards: usize) {
     // surviving vehicle — including the rebooted incarnations and the
     // mid-run joiner — with the gain of exactly the telemetry version its
     // manifest prescribes.
-    scenario.inner.fleet.run(40).unwrap();
-    for handle in scenario.inner.handles().to_vec() {
-        let desired = scenario.inner.fleet.server.desired_manifest(&handle.id);
+    scenario.fleet.run(40).unwrap();
+    for handle in scenario.handles().to_vec() {
+        let desired = scenario.fleet.server.desired_manifest(&handle.id);
         let gain = if desired.contains(&AppId::new(APP_TELEMETRY_V2)) {
             GAIN_V2
         } else {
             GAIN_V1
         };
         for (worker, _, _) in &handle.workers {
-            let actuated = scenario.inner.actuator_value(&handle.id, *worker).unwrap();
+            let actuated = scenario.actuator_value(&handle.id, *worker).unwrap();
             let Value::I64(v) = actuated else {
                 panic!("{}/{worker}: no actuation, got {actuated:?}", handle.id);
             };
@@ -127,4 +127,25 @@ fn churn_acceptance_two_shards() {
 #[test]
 fn churn_acceptance_eight_shards() {
     churn_acceptance(8);
+}
+
+/// Regression: a plan naming a vehicle outside the fleet used to panic on
+/// the index lookup when the event came due; it is now a configuration
+/// error before any round runs.
+#[test]
+fn a_reboot_outside_the_fleet_is_a_configuration_error() {
+    let result = ChurnConfig {
+        vehicles: 4,
+        plan: ChurnPlan {
+            reboots: vec![(5, 99)],
+            ..ChurnPlan::default()
+        },
+        ..ChurnConfig::default()
+    }
+    .run();
+    assert!(
+        matches!(result, Err(DynarError::InvalidConfiguration(_))),
+        "{:?}",
+        result.map(|(_, report)| report)
+    );
 }

@@ -55,7 +55,9 @@ mod lossy {
         let user = scenario.user.clone();
         let app = AppId::new(APP_TELEMETRY);
         let targets = scenario.fleet.vehicle_ids().to_vec();
-        scenario.fleet.deploy_wave(&user, &app, &targets).unwrap();
+        for vehicle in &targets {
+            scenario.fleet.server.deploy(&user, vehicle, &app).unwrap();
+        }
 
         // The horizon plus margin for transport latency and vehicle-internal
         // relaying: past this point nothing may still be pending.

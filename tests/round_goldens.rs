@@ -26,13 +26,13 @@ use dynar::server::campaign::{CampaignId, CampaignStatus};
 use dynar::server::server::RetryPolicy;
 use dynar::server::{Ledger, TrustedServer};
 use dynar::sim::scenario::campaign::{CampaignScenario, CampaignScenarioConfig, APP_TELEMETRY_BAD};
-use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario};
-use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan, ChurnScenario};
+use dynar::sim::scenario::chaos::ChaosConfig;
+use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan};
 use dynar::sim::scenario::fleet::{
     FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2,
 };
 use dynar::sim::scenario::remote_car::RemoteCarScenario;
-use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
+use dynar::sim::scenario::restart::RestartConfig;
 use dynar::sim::FleetStats;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -86,20 +86,20 @@ fn assert_golden(name: &str, actual: Digests, golden: Digests) {
 /// The chaos acceptance run of `tests/chaos.rs`: 10 % loss, jitter and a
 /// 50-tick partition over install, uninstall and reinstall waves.
 fn chaos(shards: usize) -> Digests {
-    let mut scenario = ChaosScenario::build_with(ChaosConfig {
+    let (scenario, _) = ChaosConfig {
         shards,
         ..ChaosConfig::default()
-    })
-    .expect("chaos scenario builds");
-    scenario.run().expect("chaos campaign converges");
-    let fleet = &scenario.inner.fleet;
+    }
+    .run()
+    .expect("chaos campaign converges");
+    let fleet = &scenario.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
 /// The churn acceptance run of `tests/churn.rs`: 20 vehicles at 10 % loss
 /// with reboots, a removal and a join overlapping the waves.
 fn churn(shards: usize) -> Digests {
-    let mut scenario = ChurnScenario::build_with(ChurnConfig {
+    let (scenario, _) = ChurnConfig {
         shards,
         vehicles: 20,
         workers_per_vehicle: 3,
@@ -115,10 +115,10 @@ fn churn(shards: usize) -> Digests {
             additions: vec![90],
         },
         ..ChurnConfig::default()
-    })
-    .expect("churn scenario builds");
-    scenario.run().expect("churn campaign converges");
-    let fleet = &scenario.inner.fleet;
+    }
+    .run()
+    .expect("churn campaign converges");
+    let fleet = &scenario.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
@@ -126,7 +126,7 @@ fn churn(shards: usize) -> Digests {
 /// 10 % loss, a server crash mid-wave and a reboot inside the recovery
 /// window.
 fn restart(shards: usize) -> Digests {
-    let mut scenario = RestartScenario::build_with(RestartConfig {
+    let (scenario, _) = RestartConfig {
         shards,
         vehicles: 12,
         workers_per_vehicle: 3,
@@ -137,10 +137,10 @@ fn restart(shards: usize) -> Digests {
         crash_tick: 12,
         reboot: Some((14, 2)),
         ..RestartConfig::default()
-    })
-    .expect("restart scenario builds");
-    scenario.run().expect("restart campaign converges");
-    let fleet = &scenario.inner.fleet;
+    }
+    .run()
+    .expect("restart campaign converges");
+    let fleet = &scenario.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
@@ -171,7 +171,7 @@ fn campaign(shards: usize) -> Digests {
 /// of one delivery attempt, two uninstalls and the one v2 install resolve
 /// to `Failed`, so the wave tallies' failure arms take part too.
 fn lossy_uplink_chaos(shards: usize, max_attempts: u32) -> Digests {
-    let mut scenario = ChaosScenario::build_with(ChaosConfig {
+    let (scenario, _) = ChaosConfig {
         vehicles: 3,
         loss_probability: 0.20,
         uplink_loss_probability: Some(0.05),
@@ -183,10 +183,10 @@ fn lossy_uplink_chaos(shards: usize, max_attempts: u32) -> Digests {
         },
         shards,
         ..ChaosConfig::default()
-    })
-    .expect("chaos scenario builds");
-    scenario.run().expect("chaos campaign converges");
-    let fleet = &scenario.inner.fleet;
+    }
+    .run()
+    .expect("chaos campaign converges");
+    let fleet = &scenario.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
@@ -213,19 +213,19 @@ fn journaled_rollout(shards: usize) -> Digests {
         .create_campaign(&user, spec)
         .expect("campaign creates");
     for _ in 0..10 {
-        scenario.step().expect("fleet steps");
+        scenario.inner.step().expect("fleet steps");
     }
     let report = scenario
         .drive(&CampaignId::new("good-v2"))
         .expect("rollout completes");
-    assert_eq!(report.status, CampaignStatus::Complete);
+    assert_eq!(report.status, Some(CampaignStatus::Complete));
     let fleet = &scenario.inner.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 
 /// A lossless restart whose crash is due at tick 0, before the first round.
 fn crash_at_tick_zero(shards: usize) -> Digests {
-    let mut scenario = RestartScenario::build_with(RestartConfig {
+    let (scenario, _) = RestartConfig {
         vehicles: 2,
         workers_per_vehicle: 2,
         loss_probability: 0.0,
@@ -234,10 +234,10 @@ fn crash_at_tick_zero(shards: usize) -> Digests {
         reboot: None,
         shards,
         ..RestartConfig::default()
-    })
-    .expect("restart scenario builds");
-    scenario.run().expect("restart campaign converges");
-    let fleet = &scenario.inner.fleet;
+    }
+    .run()
+    .expect("restart campaign converges");
+    let fleet = &scenario.fleet;
     fleet_digests(&fleet.server, fleet.stats(), &fleet.transport_stats())
 }
 

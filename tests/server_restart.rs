@@ -26,7 +26,7 @@
 
 use dynar::foundation::value::Value;
 use dynar::sim::scenario::fleet::GAIN_V1;
-use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
+use dynar::sim::scenario::restart::RestartConfig;
 
 /// The full pinned campaign at the given server shard count.  The crash and
 /// recovery replay a journal whose records were produced by *parallel* ticks
@@ -51,8 +51,7 @@ fn restart_acceptance(shards: usize) {
     };
     assert!((config.loss_probability - 0.10).abs() < f64::EPSILON);
 
-    let mut scenario = RestartScenario::build_with(config).unwrap();
-    let report = scenario.run().unwrap();
+    let (mut scenario, report) = config.run().unwrap();
 
     // The crash and the concurrent reboot both happened as scheduled.
     assert_eq!(report.crashed_at, 12, "{report:?}");
@@ -63,7 +62,7 @@ fn restart_acceptance(shards: usize) {
     // The chaos was real: the lossy link dropped messages both before and
     // after the crash, and the reliability plane retransmitted.
     assert!(report.transport.lost > 0, "{report:?}");
-    let ledger = scenario.inner.fleet.server.ledger().clone();
+    let ledger = scenario.fleet.server.ledger().clone();
     assert!(ledger.retransmissions > 0, "{ledger:?}");
 
     // Conservation at quiescence (held at every tick inside the run).
@@ -87,10 +86,10 @@ fn restart_acceptance(shards: usize) {
     // vehicle — the rebooted incarnation included — with exactly the v1
     // gain.  A double-applied install would host a second plug-in instance
     // and break the divisibility.
-    scenario.inner.fleet.run(40).unwrap();
-    for handle in scenario.inner.handles().to_vec() {
+    scenario.fleet.run(40).unwrap();
+    for handle in scenario.handles().to_vec() {
         for (worker, _, _) in &handle.workers {
-            let actuated = scenario.inner.actuator_value(&handle.id, *worker).unwrap();
+            let actuated = scenario.actuator_value(&handle.id, *worker).unwrap();
             let Value::I64(v) = actuated else {
                 panic!("{}/{worker}: no actuation, got {actuated:?}", handle.id);
             };

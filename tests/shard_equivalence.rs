@@ -29,25 +29,26 @@ use dynar::foundation::ids::{AppId, EcuId};
 use dynar::foundation::value::Value;
 use dynar::rte::com_mapping::SEGMENT_DATA;
 use dynar::server::{Ledger, TrustedServer};
-use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario};
+use dynar::sim::scenario::chaos::ChaosConfig;
 use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY};
-use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
+use dynar::sim::scenario::restart::RestartConfig;
 use dynar::sim::FleetStats;
 
 /// One full chaos campaign (10 % loss, jitter, mid-wave partition) at the
 /// given shard count, returning everything that must match across counts.
 fn chaos_campaign(shards: usize) -> (Vec<u8>, Ledger, FleetStats) {
-    let mut scenario = ChaosScenario::build_with(ChaosConfig {
+    let (scenario, _) = ChaosConfig {
         shards,
         ..ChaosConfig::default()
-    })
-    .expect("chaos scenario builds");
-    let report = scenario.run().expect("chaos campaign converges");
+    }
+    .run()
+    .expect("chaos campaign converges");
+    let report = scenario.report();
     assert!(report.transport.is_conserved(), "{report:?}");
     (
-        scenario.inner.fleet.server.snapshot_bytes(),
-        scenario.inner.fleet.server.ledger(),
-        scenario.inner.fleet.stats().clone(),
+        scenario.fleet.server.snapshot_bytes(),
+        scenario.fleet.server.ledger(),
+        scenario.fleet.stats().clone(),
     )
 }
 
@@ -78,20 +79,19 @@ fn parallel_journal_replays_byte_identically_through_a_crash() {
         // (replayed successor == crashed process) and at the end (the
         // successor's own journal replays byte-identically) — both with the
         // journal records produced by *parallel* ticks.
-        let mut scenario = RestartScenario::build_with(RestartConfig {
+        let (scenario, report) = RestartConfig {
             vehicles: 6,
             shards,
             ..RestartConfig::default()
-        })
-        .expect("restart scenario builds");
-        let report = scenario.run().expect("restart campaign converges");
+        }
+        .run()
+        .expect("restart campaign converges");
         assert_eq!(report.incarnation, 1, "{shards} shards: {report:?}");
         assert!(report.journal_bytes > 0, "{shards} shards: {report:?}");
 
         // The merged journal is shard-agnostic: replaying the parallel run's
         // journal into a *serial* server converges on the same bytes.
         let journal = scenario
-            .inner
             .fleet
             .server
             .journal_bytes()
@@ -101,7 +101,7 @@ fn parallel_journal_replays_byte_identically_through_a_crash() {
             TrustedServer::replay(&journal).expect("parallel journal replays serially");
         assert_eq!(
             serial_replay.snapshot_bytes(),
-            scenario.inner.fleet.server.snapshot_bytes(),
+            scenario.fleet.server.snapshot_bytes(),
             "{shards} shards: serial replay of the parallel journal diverged"
         );
     }

@@ -10,16 +10,16 @@
 //! and requires the byte-identical server snapshot, so a flake shows up as a
 //! concrete state diff, not just a failed campaign.
 
-use dynar::sim::scenario::churn::{ChurnConfig, ChurnScenario};
+use dynar::sim::scenario::churn::ChurnConfig;
 
 fn campaign(seed: u64, shards: usize) -> (Vec<u8>, u64) {
-    let mut scenario = ChurnScenario::build_with(ChurnConfig {
+    let (scenario, report) = ChurnConfig {
         seed,
         shards,
         ..ChurnConfig::default()
-    })
-    .expect("churn scenario builds");
-    let report = scenario.run().expect("churn campaign converges");
+    }
+    .run()
+    .expect("churn campaign converges");
     assert_eq!(report.surviving, 8, "seed {seed:#x}: {report:?}");
     assert!(
         report.transport.is_conserved(),
@@ -27,7 +27,7 @@ fn campaign(seed: u64, shards: usize) -> (Vec<u8>, u64) {
     );
     assert!(scenario.fleet_converged(), "seed {seed:#x}");
     (
-        scenario.inner.fleet.server.snapshot_bytes(),
+        scenario.fleet.server.snapshot_bytes(),
         report.transport.delivered,
     )
 }
