@@ -10,7 +10,8 @@
 //!
 //! Counting is gated on an explicit enable flag so test-harness bookkeeping
 //! (output capture, panic machinery) outside the measured window does not
-//! pollute the numbers.
+//! pollute the numbers.  [`CountingAllocator::retained`] gates a second
+//! gauge the same way: the heap bytes a stretch of work leaves allocated.
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -21,10 +22,12 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static MEASURING_BYTES: AtomicBool = AtomicBool::new(false);
+static NET_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// A [`System`]-backed allocator that counts allocations while enabled.
 ///
@@ -62,33 +65,69 @@ impl CountingAllocator {
         Self::disable();
         (Self::allocations(), result)
     }
+
+    /// Runs `f` and returns `(bytes, result)`, where `bytes` is the heap `f`
+    /// retained: bytes allocated minus bytes freed while it ran (negative
+    /// if it freed more than it allocated).  Independent of the allocation
+    /// count, which keeps its cost off windows that only count.
+    pub fn retained<R>(f: impl FnOnce() -> R) -> (i64, R) {
+        NET_BYTES.store(0, Ordering::SeqCst);
+        MEASURING_BYTES.store(true, Ordering::SeqCst);
+        let result = f();
+        MEASURING_BYTES.store(false, Ordering::SeqCst);
+        (NET_BYTES.load(Ordering::SeqCst), result)
+    }
+}
+
+/// Adds `bytes` to the retained-heap gauge while it measures.
+fn track(bytes: i64) {
+    if MEASURING_BYTES.load(Ordering::Relaxed) {
+        NET_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+fn signed(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("allocation sizes fit in i64")
 }
 
 // SAFETY: every method delegates directly to `System`; the wrapper only
-// increments an atomic counter and never touches the returned memory.
+// updates atomic counters and never touches the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            track(signed(layout.size()));
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            track(signed(layout.size()));
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            track(signed(new_size) - signed(layout.size()));
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        track(-signed(layout.size()));
     }
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 
 /// Maximum payload length of one frame, matching CAN FD.
@@ -22,7 +20,7 @@ pub const MAX_PAYLOAD: usize = 64;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanId(u32);
 
 impl CanId {
@@ -79,7 +77,7 @@ impl fmt::UpperHex for CanId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     id: CanId,
     payload: Vec<u8>,

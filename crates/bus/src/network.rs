@@ -9,7 +9,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::EcuId;
@@ -19,7 +18,7 @@ use dynar_foundation::time::Tick;
 use crate::frame::{CanId, Frame};
 
 /// Static configuration of one bus segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusConfig {
     /// Number of frames that can complete transmission per tick.
     pub frames_per_tick: usize,
@@ -45,7 +44,7 @@ impl Default for BusConfig {
 }
 
 /// Counters describing bus traffic so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     /// Frames accepted for transmission.
     pub sent: u64,
@@ -62,7 +61,7 @@ pub struct BusStats {
     pub payload_bytes: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PendingFrame {
     frame: Frame,
     sender: EcuId,

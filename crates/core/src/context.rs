@@ -13,8 +13,6 @@
 //!   that talk to the outside world, gives the ECM the external endpoint, the
 //!   message id and the in-vehicle routing target for each external signal.
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::codec;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PluginPortId, VirtualPortId};
@@ -26,7 +24,7 @@ use crate::plugin::PluginPortDirection;
 ///
 /// The three variants correspond directly to the three forms of PLC post in
 /// the paper's example: `{P0-}`, `{P2-V4}` and `{P2-V0.P0}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkTarget {
     /// The port is not connected to any virtual port; the PIRTE itself reads
     /// or writes it directly (used by the ECM for external signals).
@@ -46,7 +44,7 @@ pub enum LinkTarget {
 
 /// One PIC entry: a developer-chosen port name, the SW-C-scope unique id the
 /// server assigned to it, and its direction from the plug-in's perspective.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortInit {
     /// The port name used by the plug-in developer.
     pub name: String,
@@ -57,7 +55,7 @@ pub struct PortInit {
 }
 
 /// The Port Initialization Context.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PortInitContext {
     ports: Vec<PortInit>,
 }
@@ -120,7 +118,7 @@ impl PortInitContext {
 }
 
 /// One PLC entry: which plug-in port links where.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortLink {
     /// The plug-in port being linked.
     pub port: PluginPortId,
@@ -129,7 +127,7 @@ pub struct PortLink {
 }
 
 /// The Port Linking Context.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PortLinkContext {
     links: Vec<PortLink>,
 }
@@ -182,7 +180,7 @@ impl PortLinkContext {
 
 /// One ECC entry: an external endpoint and the in-vehicle routing target for
 /// one external message id (paper §3.1.2 and the example of §4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExternalRoute {
     /// Location of the external resource, e.g. `111.22.33.44:56789`.
     pub endpoint: String,
@@ -195,7 +193,7 @@ pub struct ExternalRoute {
 }
 
 /// The External Connection Context.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExternalConnectionContext {
     routes: Vec<ExternalRoute>,
 }
@@ -244,7 +242,7 @@ impl ExternalConnectionContext {
 }
 
 /// The complete context shipped inside one installation package.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InstallationContext {
     /// The Port Initialization Context.
     pub pic: PortInitContext,

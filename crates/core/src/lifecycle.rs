@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 
 /// The life-cycle state of one installed plug-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PluginState {
     /// Installed but not yet started.
     #[default]
@@ -80,7 +78,7 @@ impl fmt::Display for PluginState {
 }
 
 /// A life-cycle transition request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LifecycleRequest {
     /// Begin scheduling the plug-in.
     Start,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::codec;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId};
@@ -19,7 +17,7 @@ use crate::context::InstallationContext;
 
 /// The payload of an installation: the plug-in binary plus the vehicle-
 /// specific context generated by the trusted server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstallationPackage {
     /// The plug-in being installed.
     pub plugin: PluginId,
@@ -55,7 +53,7 @@ impl InstallationPackage {
 }
 
 /// Outcome reported in an acknowledgement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AckStatus {
     /// The plug-in was installed and started.
     Installed,
@@ -95,7 +93,7 @@ impl fmt::Display for AckStatus {
 
 /// An acknowledgement travelling from a plug-in SW-C back to the trusted
 /// server (via the ECM).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ack {
     /// The plug-in the acknowledgement concerns.
     pub plugin: PluginId,
@@ -132,7 +130,7 @@ pub struct Ack {
 /// never answered from the ack cache), while a *newer* incarnation announces
 /// a restarted server that the gateway answers with a ground-truth state
 /// report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DownlinkEnvelope {
     /// The recipient ECU.
     pub target: EcuId,
@@ -240,7 +238,7 @@ impl DownlinkEnvelope {
 }
 
 /// The envelope for everything that travels over type I ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ManagementMessage {
     /// Install (and start) a plug-in.
     Install(InstallationPackage),

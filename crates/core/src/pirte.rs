@@ -15,13 +15,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PluginId, PluginPortId, VirtualPortId};
 use dynar_foundation::intern::Interner;
-use dynar_foundation::log::{EventLog, Severity};
-use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
 use dynar_vm::interpreter::{PortHost, VmStatus};
 
@@ -42,7 +38,7 @@ use crate::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 const DIRECT_PORT_OWNER_LIMIT: usize = 4096;
 
 /// Counters describing one PIRTE instance's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PirteStats {
     /// Successful plug-in installations.
     pub installs: u64,
@@ -107,9 +103,7 @@ pub struct Pirte {
     /// consumed by the embedding SW-C (the ECM uses this for outbound
     /// external data).
     direct_outputs: Vec<(PluginId, PluginPortId, Value)>,
-    log: EventLog,
     stats: PirteStats,
-    now: Tick,
 }
 
 impl Pirte {
@@ -144,9 +138,7 @@ impl Pirte {
             port_owner_by_id: Vec::new(),
             outbox: Vec::new(),
             direct_outputs: Vec::new(),
-            log: EventLog::new(),
             stats: PirteStats::default(),
-            now: Tick::ZERO,
         }
     }
 
@@ -163,17 +155,6 @@ impl Pirte {
     /// Activity counters.
     pub fn stats(&self) -> PirteStats {
         self.stats
-    }
-
-    /// The PIRTE's event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Informs the PIRTE of the current simulated time (used only for log
-    /// timestamps).
-    pub fn set_now(&mut self, now: Tick) {
-        self.now = now;
     }
 
     /// The virtual-port declaration with the given id.
@@ -218,12 +199,6 @@ impl Pirte {
         }
         let plugin = self.validate_and_instantiate(&package, None)?;
         self.commit_install(plugin, &package);
-        self.log.record(
-            self.now,
-            Severity::Info,
-            "pirte",
-            format!("installed and started plug-in {}", package.plugin.name()),
-        );
         Ok(())
     }
 
@@ -264,7 +239,6 @@ impl Pirte {
             &package.binary,
             &package.context,
             self.config.plugin_budget(),
-            self.config.exec_mode(),
         )?;
         plugin.request(LifecycleRequest::Start)?;
         Ok(plugin)
@@ -310,12 +284,6 @@ impl Pirte {
         self.uninstall(&package.plugin)?;
         self.commit_install(plugin, &package);
         self.stats.reinstalls += 1;
-        self.log.record(
-            self.now,
-            Severity::Info,
-            "pirte",
-            format!("replaced plug-in {}", package.plugin.name()),
-        );
         Ok(())
     }
 
@@ -345,12 +313,6 @@ impl Pirte {
         }
         self.rebuild_routes();
         self.stats.uninstalls += 1;
-        self.log.record(
-            self.now,
-            Severity::Info,
-            "pirte",
-            format!("uninstalled plug-in {}", id.name()),
-        );
         Ok(())
     }
 
@@ -455,28 +417,14 @@ impl Pirte {
                 vec![ack(&plugin, &app, status)]
             }
             ManagementMessage::ExternalData { port, payload } => {
-                if let Err(err) = self.deliver_to_port(port, payload) {
-                    self.log.record(
-                        self.now,
-                        Severity::Warning,
-                        "pirte",
-                        format!("dropped external data for {port}: {err}"),
-                    );
-                }
+                // External data for a port no installed plug-in owns is
+                // dropped: the sender cannot be told over this path.
+                let _ = self.deliver_to_port(port, payload);
                 Vec::new()
             }
-            other => {
-                self.log.record(
-                    self.now,
-                    Severity::Warning,
-                    "pirte",
-                    format!(
-                        "ignoring unexpected management message type {}",
-                        other.type_id()
-                    ),
-                );
-                Vec::new()
-            }
+            // Acknowledgements and other server-bound types have no meaning
+            // on the vehicle side and are ignored.
+            _ => Vec::new(),
         }
     }
 
@@ -752,13 +700,6 @@ impl Pirte {
             .map(|p| p.last().clone())
     }
 
-    /// Records a warning in the PIRTE log (used by the hosting SW-C when it
-    /// has to drop or reroute data).
-    pub fn log_warning(&mut self, message: impl Into<String>) {
-        self.log
-            .record(self.now, Severity::Warning, "plugin-swc", message);
-    }
-
     /// Drains the SW-C port writes produced by plug-ins (and management
     /// acknowledgements) since the last call.  Allocates a `String` per
     /// entry for convenience; the per-tick management pass uses
@@ -798,7 +739,7 @@ impl Pirte {
             let outcome = {
                 // The plug-in id is borrowed for the host, not cloned — a
                 // slot grant must not allocate.
-                let (plugin_id, engine, ports) = self.plugins[index].split_for_run();
+                let (plugin_id, vm, ports) = self.plugins[index].split_for_run();
                 let mut host = PirteHost {
                     plugin: plugin_id,
                     ports,
@@ -806,11 +747,9 @@ impl Pirte {
                     swc_ports: &self.swc_port_shared,
                     outbox: &mut self.outbox,
                     direct_outputs: &mut self.direct_outputs,
-                    log: &mut self.log,
                     stats: &mut self.stats,
-                    now: self.now,
                 };
-                engine.run_slot(&mut host)
+                vm.run_slot(&mut host)
             };
             match outcome {
                 Ok(report) => {
@@ -820,15 +759,9 @@ impl Pirte {
                         self.plugins[index].record_vm_outcome(VmOutcome::Finished);
                     }
                 }
-                Err(err) => {
+                Err(_) => {
                     self.stats.slots_granted += 1;
                     self.stats.plugin_faults += 1;
-                    self.log.record(
-                        self.now,
-                        Severity::Error,
-                        "pirte",
-                        format!("plug-in {} faulted: {err}", self.plugins[index].id().name()),
-                    );
                     self.plugins[index].record_vm_outcome(VmOutcome::Faulted);
                 }
             }
@@ -838,12 +771,11 @@ impl Pirte {
 
     /// Aggregated superinstruction execution counters across every
     /// installed plug-in — the fast plane's proof that the peephole pass
-    /// fires on real workloads (always zero under
-    /// [`ExecMode::Interpreter`](dynar_vm::engine::ExecMode)).
+    /// fires on real workloads.
     pub fn fusion_counters(&self) -> dynar_vm::compiled::FusionCounters {
         let mut total = dynar_vm::compiled::FusionCounters::default();
         for plugin in &self.plugins {
-            total.merge(&plugin.engine().fusion_counters());
+            total.merge(&plugin.vm().fusion_counters());
         }
         total
     }
@@ -866,9 +798,7 @@ struct PirteHost<'a> {
     swc_ports: &'a HashMap<VirtualPortId, Arc<str>>,
     outbox: &'a mut Vec<(Arc<str>, Value)>,
     direct_outputs: &'a mut Vec<(PluginId, PluginPortId, Value)>,
-    log: &'a mut EventLog,
     stats: &'a mut PirteStats,
-    now: Tick,
 }
 
 impl PirteHost<'_> {
@@ -947,14 +877,8 @@ impl PortHost for PirteHost<'_> {
         Ok(self.port_mut(slot)?.pending())
     }
 
-    fn log(&mut self, message: &str) {
-        self.log.record(
-            self.now,
-            Severity::Info,
-            format!("plugin:{}", self.plugin.name()),
-            message,
-        );
-    }
+    /// Plug-in log lines are discarded: nothing on the vehicle reads them.
+    fn log(&mut self, _message: &str) {}
 }
 
 #[cfg(test)]
@@ -1408,7 +1332,6 @@ mod tests {
             "a faulting plug-in does not take the others down"
         );
         assert_eq!(pirte.stats().plugin_faults, 1);
-        assert!(pirte.log().count_at_least(Severity::Error) >= 1);
     }
 
     #[test]

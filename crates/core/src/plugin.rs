@@ -3,13 +3,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, PluginId, PluginPortId};
 use dynar_foundation::value::Value;
 use dynar_vm::budget::Budget;
-use dynar_vm::engine::{Engine, ExecMode};
+use dynar_vm::compiled::CompiledVm;
 use dynar_vm::program::Program;
 
 use crate::context::{ExternalConnectionContext, InstallationContext, LinkTarget};
@@ -20,7 +18,7 @@ use crate::lifecycle::{LifecycleRequest, PluginState};
 pub const PLUGIN_PORT_QUEUE: usize = 32;
 
 /// Whether a plug-in port is written or read by the plug-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PluginPortDirection {
     /// The plug-in writes on this port.
     Provided,
@@ -38,7 +36,7 @@ impl fmt::Display for PluginPortDirection {
 }
 
 /// The runtime state of one plug-in port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PluginPort {
     /// The SW-C-scope unique id assigned by the server's PIC.
     pub id: PluginPortId,
@@ -109,11 +107,11 @@ impl PluginPort {
 }
 
 /// One installed plug-in: its virtual machine, ports and life-cycle state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Plugin {
     id: PluginId,
     app: AppId,
-    engine: Engine,
+    vm: CompiledVm,
     state: PluginState,
     ports: Vec<PluginPort>,
     port_index: HashMap<PluginPortId, usize>,
@@ -134,7 +132,6 @@ impl Plugin {
         binary: &[u8],
         context: &InstallationContext,
         budget: Budget,
-        mode: ExecMode,
     ) -> Result<Self> {
         context.validate()?;
         let program = Program::from_bytes(binary)?;
@@ -153,7 +150,7 @@ impl Plugin {
         Ok(Plugin {
             id,
             app,
-            engine: Engine::new(program, budget, mode)?,
+            vm: CompiledVm::compile(program, budget)?,
             state: PluginState::Installed,
             ports,
             port_index,
@@ -205,10 +202,9 @@ impl Plugin {
         self.ports.get_mut(index)
     }
 
-    /// The execution engine hosting the plug-in code (interpreter,
-    /// compiled fast plane, or lock-step shadow of both).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// The virtual machine running the plug-in code.
+    pub fn vm(&self) -> &CompiledVm {
+        &self.vm
     }
 
     /// Applies a life-cycle transition, resetting the VM on restart.
@@ -219,7 +215,7 @@ impl Plugin {
     pub fn request(&mut self, request: LifecycleRequest) -> Result<PluginState> {
         let next = self.state.transition(self.id.name(), request)?;
         if request == LifecycleRequest::Restart {
-            self.engine.reset();
+            self.vm.reset();
         }
         self.state = next;
         Ok(next)
@@ -227,8 +223,8 @@ impl Plugin {
 
     /// Splits the plug-in into the parts needed to run one VM slot: the
     /// machine itself and the port table the host adapter works on.
-    pub(crate) fn split_for_run(&mut self) -> (&PluginId, &mut Engine, &mut [PluginPort]) {
-        (&self.id, &mut self.engine, &mut self.ports)
+    pub(crate) fn split_for_run(&mut self) -> (&PluginId, &mut CompiledVm, &mut [PluginPort]) {
+        (&self.id, &mut self.vm, &mut self.ports)
     }
 
     /// Records that the VM faulted or finished, updating the life-cycle
@@ -282,7 +278,6 @@ mod tests {
             &simple_binary(),
             &simple_context(),
             Budget::default(),
-            ExecMode::default(),
         )
         .unwrap();
         assert_eq!(plugin.ports().len(), 2);
@@ -301,7 +296,6 @@ mod tests {
             &[1, 2, 3],
             &simple_context(),
             Budget::default(),
-            ExecMode::default(),
         )
         .is_err());
 
@@ -317,7 +311,6 @@ mod tests {
             &simple_binary(),
             &bad_context,
             Budget::default(),
-            ExecMode::default(),
         )
         .is_err());
     }
@@ -330,7 +323,6 @@ mod tests {
             &simple_binary(),
             &simple_context(),
             Budget::default(),
-            ExecMode::default(),
         )
         .unwrap();
         let port = plugin.port_mut(PluginPortId::new(0)).unwrap();
@@ -351,7 +343,6 @@ mod tests {
             &simple_binary(),
             &simple_context(),
             Budget::default(),
-            ExecMode::default(),
         )
         .unwrap();
         plugin.request(LifecycleRequest::Start).unwrap();
@@ -370,7 +361,6 @@ mod tests {
             &simple_binary(),
             &simple_context(),
             Budget::default(),
-            ExecMode::default(),
         )
         .unwrap();
         assert!(plugin.port(PluginPortId::new(42)).is_none());

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PortId};
@@ -19,7 +18,6 @@ use dynar_foundation::value::Value;
 use dynar_rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
 use dynar_rte::port::{PortDirection, PortSpec};
 use dynar_vm::budget::Budget;
-use dynar_vm::engine::ExecMode;
 
 use crate::pirte::Pirte;
 use crate::virtual_port::{PortDataDirection, VirtualPortSpec};
@@ -36,7 +34,7 @@ pub type SharedPirte = Arc<Mutex<Pirte>>;
 
 /// The OEM-provided static configuration of one plug-in SW-C: its virtual
 /// ports, its type I management ports and the budget granted to each plug-in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PluginSwcConfig {
     name: String,
     priority: u8,
@@ -44,7 +42,6 @@ pub struct PluginSwcConfig {
     type_i_in: Option<String>,
     type_i_out: Option<String>,
     plugin_budget: Budget,
-    exec_mode: ExecMode,
 }
 
 impl PluginSwcConfig {
@@ -57,7 +54,6 @@ impl PluginSwcConfig {
             type_i_in: None,
             type_i_out: None,
             plugin_budget: Budget::default(),
-            exec_mode: ExecMode::default(),
         }
     }
 
@@ -120,23 +116,9 @@ impl PluginSwcConfig {
         self.type_i_in.as_deref() == Some(port)
     }
 
-    /// Selects the VM execution plane for every plug-in hosted by this
-    /// SW-C (compiled fast plane by default; `Shadow` runs both planes in
-    /// lock-step asserting equivalence).
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
     /// The budget granted to each plug-in hosted by this SW-C.
     pub fn plugin_budget(&self) -> Budget {
         self.plugin_budget
-    }
-
-    /// The VM execution plane plug-ins of this SW-C run on.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// The names of the SW-C ports on which data arrives for the PIRTE: the
@@ -296,18 +278,16 @@ impl PluginSwc {
         let mut pirte = pirte.lock();
         for (name, port_id) in input_ports {
             while let Some(value) = ctx.receive_by_id(*port_id)? {
-                if let Err(err) = pirte.dispatch_swc_input(name, value) {
-                    pirte.log_warning(format!("dropped input on {name}: {err}"));
-                }
+                // An input the PIRTE cannot route or decode is dropped.
+                let _ = pirte.dispatch_swc_input(name, value);
             }
         }
         pirte.run_plugins();
         debug_assert!(outbox_scratch.is_empty());
         pirte.drain_outbox_into(outbox_scratch);
         for (port, value) in outbox_scratch.drain(..) {
-            if let Err(err) = ctx.write(&port, value) {
-                pirte.log_warning(format!("failed to write SW-C port {port}: {err}"));
-            }
+            // A write the RTE refuses is dropped, like any lost signal.
+            let _ = ctx.write(&port, value);
         }
         Ok(())
     }

@@ -10,13 +10,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::ids::VirtualPortId;
 use dynar_foundation::value::Value;
 
 /// The three special-purpose SW-C port types of the dynamic component model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortKind {
     /// Connects a plug-in SW-C with the ECM SW-C (management and external
     /// traffic).
@@ -39,7 +37,7 @@ impl fmt::Display for PortKind {
 }
 
 /// Which way data flows through a virtual port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDataDirection {
     /// Data arrives on the SW-C port and is delivered into plug-in ports.
     ToPlugins,
@@ -49,7 +47,7 @@ pub enum PortDataDirection {
 
 /// A value transformation applied by a virtual port when translating between
 /// plug-in and SW-C formats.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PortTransform {
     /// Pass values through unchanged.
     #[default]
@@ -102,7 +100,7 @@ impl PortTransform {
 /// assert_eq!(speed_req.name(), "SpeedReq");
 /// assert_eq!(speed_req.swc_port(), "speed_req");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualPortSpec {
     id: VirtualPortId,
     name: String,

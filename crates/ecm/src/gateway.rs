@@ -185,9 +185,9 @@ pub struct EcmSwc {
     pirte_inputs: Vec<String>,
     /// `pirte_inputs` resolved to RTE port ids on the first runnable pass.
     resolved_inputs: Option<Vec<(String, PortId)>>,
-    /// `EcmConfig::type_i_in` resolved to `(config index, port id)` pairs on
-    /// the first pass (unresolvable ports are warned about and skipped).
-    resolved_type_i_in: Option<Vec<(usize, PortId)>>,
+    /// `EcmConfig::type_i_in` resolved to RTE port ids on the first pass
+    /// (unresolvable ports are skipped).
+    resolved_type_i_in: Option<Vec<PortId>>,
     /// Reused drain buffer for the external transport mailbox.
     rx_scratch: Vec<(EndpointName, Payload)>,
     /// Reused drain buffer for the PIRTE outbox.
@@ -396,18 +396,12 @@ impl EcmSwc {
     ) -> Option<Vec<Payload>> {
         match self.config.type_i_out.get(&target) {
             Some(port) => {
-                if let Err(err) = ctx.write(port, message.to_value()) {
-                    self.pirte
-                        .lock()
-                        .log_warning(format!("failed to relay to {target}: {err}"));
+                if ctx.write(port, message.to_value()).is_err() {
                     return None;
                 }
                 Some(Vec::new())
             }
             None => {
-                self.pirte
-                    .lock()
-                    .log_warning(format!("no type I port towards {target}"));
                 let failure = ManagementMessage::Ack(dynar_core::message::Ack {
                     plugin: Self::plugin_of(message).unwrap_or_else(|| PluginId::new("unknown")),
                     app: match message {
@@ -479,127 +473,104 @@ impl EcmSwc {
         }
         for (from, payload) in messages.drain(..) {
             if *from == *self.config.server_endpoint {
-                match crate::protocol::decode_downlink(&payload) {
-                    Ok(envelope) => {
-                        let (target, seq, epoch, incarnation, message) = (
-                            envelope.target,
-                            envelope.seq,
-                            envelope.boot_epoch,
-                            envelope.incarnation,
-                            envelope.message,
-                        );
-                        if epoch != self.boot_epoch {
-                            // A straggler from another incarnation of this
-                            // vehicle (usually a pre-reboot retransmission
-                            // against our now-empty dedup window).  Never
-                            // apply it: the server re-issues what it still
-                            // wants under the current epoch after resyncing.
-                            self.pirte.lock().log_warning(format!(
-                                "rejecting downlink seq {seq} from boot epoch {epoch} \
-                                 (current epoch {})",
-                                self.boot_epoch
-                            ));
-                            continue;
-                        }
-                        if incarnation < self.server_incarnation {
-                            // A straggler issued by a *previous* incarnation
-                            // of the trusted server, delivered late.  Reject
-                            // it before the dedup-replay check: even its
-                            // cached acks must not be replayed, or a
-                            // pre-crash settlement could be mistaken for an
-                            // answer to a post-restart operation.
-                            self.pirte.lock().log_warning(format!(
-                                "rejecting downlink seq {seq} from server incarnation \
-                                 {incarnation} (current incarnation {})",
-                                self.server_incarnation
-                            ));
-                            continue;
-                        }
-                        if incarnation > self.server_incarnation {
-                            // A restarted server is talking to us.  Remember
-                            // the new incarnation and announce ground truth
-                            // unsolicited, so the replayed control plane can
-                            // reconcile from what is actually installed.
-                            self.server_incarnation = incarnation;
-                            self.send_state_report();
-                        }
-                        // The server demonstrably knows our epoch: stop
-                        // re-announcing the post-reboot state report.
-                        self.epoch_confirmed = true;
-                        if let Some(seen) = self.seen_seqs.get(&seq) {
-                            // Duplicate delivery (server retransmission):
-                            // don't re-apply, replay the cached acks so a
-                            // lost uplink is recovered (byte-identical shared
-                            // buffers, no re-encoding).
-                            for ack in &seen.acks {
-                                self.send_uplink_payload(ack);
-                            }
-                            continue;
-                        }
-                        if self.below_dedup_horizon(seq) {
-                            // Pruned past: this can only be a duplicate of a
-                            // long-settled downlink.  Reject instead of
-                            // re-applying it as if it were fresh.
-                            self.pirte.lock().log_warning(format!(
-                                "rejecting downlink seq {seq} below the dedup horizon"
-                            ));
-                            continue;
-                        }
-                        if matches!(message, ManagementMessage::StateReportRequest) {
-                            let report = self.send_state_report();
-                            self.remember_seq(
-                                seq,
-                                SeenDownlink {
-                                    plugin: None,
-                                    acks: vec![report],
-                                },
-                            );
-                            continue;
-                        }
-                        self.remember_ecc(&message);
-                        let plugin = Self::plugin_of(&message);
-                        let applied = if target == self.ecu {
-                            Some(self.handle_local_management(message))
-                        } else {
-                            self.forward_to_remote(ctx, target, &message)
-                        };
-                        // A transiently failed relay leaves the seq unseen:
-                        // the next retransmission retries it.
-                        if let Some(acks) = applied {
-                            self.remember_seq(seq, SeenDownlink { plugin, acks });
-                        }
+                // A malformed downlink is dropped; the server retransmits
+                // what it still wants.
+                let Ok(envelope) = crate::protocol::decode_downlink(&payload) else {
+                    continue;
+                };
+                let (target, seq, epoch, incarnation, message) = (
+                    envelope.target,
+                    envelope.seq,
+                    envelope.boot_epoch,
+                    envelope.incarnation,
+                    envelope.message,
+                );
+                if epoch != self.boot_epoch {
+                    // A straggler from another incarnation of this
+                    // vehicle (usually a pre-reboot retransmission
+                    // against our now-empty dedup window).  Never
+                    // apply it: the server re-issues what it still
+                    // wants under the current epoch after resyncing.
+                    continue;
+                }
+                if incarnation < self.server_incarnation {
+                    // A straggler issued by a *previous* incarnation
+                    // of the trusted server, delivered late.  Reject
+                    // it before the dedup-replay check: even its
+                    // cached acks must not be replayed, or a
+                    // pre-crash settlement could be mistaken for an
+                    // answer to a post-restart operation.
+                    continue;
+                }
+                if incarnation > self.server_incarnation {
+                    // A restarted server is talking to us.  Remember
+                    // the new incarnation and announce ground truth
+                    // unsolicited, so the replayed control plane can
+                    // reconcile from what is actually installed.
+                    self.server_incarnation = incarnation;
+                    self.send_state_report();
+                }
+                // The server demonstrably knows our epoch: stop
+                // re-announcing the post-reboot state report.
+                self.epoch_confirmed = true;
+                if let Some(seen) = self.seen_seqs.get(&seq) {
+                    // Duplicate delivery (server retransmission):
+                    // don't re-apply, replay the cached acks so a
+                    // lost uplink is recovered (byte-identical shared
+                    // buffers, no re-encoding).
+                    for ack in &seen.acks {
+                        self.send_uplink_payload(ack);
                     }
-                    Err(err) => self
-                        .pirte
-                        .lock()
-                        .log_warning(format!("malformed downlink: {err}")),
+                    continue;
+                }
+                if self.below_dedup_horizon(seq) {
+                    // Pruned past: this can only be a duplicate of a
+                    // long-settled downlink.  Reject instead of
+                    // re-applying it as if it were fresh.
+                    continue;
+                }
+                if matches!(message, ManagementMessage::StateReportRequest) {
+                    let report = self.send_state_report();
+                    self.remember_seq(
+                        seq,
+                        SeenDownlink {
+                            plugin: None,
+                            acks: vec![report],
+                        },
+                    );
+                    continue;
+                }
+                self.remember_ecc(&message);
+                let plugin = Self::plugin_of(&message);
+                let applied = if target == self.ecu {
+                    Some(self.handle_local_management(message))
+                } else {
+                    self.forward_to_remote(ctx, target, &message)
+                };
+                // A transiently failed relay leaves the seq unseen:
+                // the next retransmission retries it.
+                if let Some(acks) = applied {
+                    self.remember_seq(seq, SeenDownlink { plugin, acks });
                 }
             } else {
                 // Traffic from an external device (e.g. the smart phone).
-                match decode_device_message(&payload) {
-                    Ok((message_id, value)) => {
-                        let Some(route) = self.route_for_message(&message_id).cloned() else {
-                            self.pirte
-                                .lock()
-                                .log_warning(format!("no ECC route for message id {message_id}"));
-                            continue;
-                        };
-                        let data = ManagementMessage::ExternalData {
-                            port: route.port,
-                            payload: value,
-                        };
-                        if route.ecu == self.ecu {
-                            self.handle_local_management(data);
-                        } else {
-                            // External data is fire-and-forget: no seq, no
-                            // retransmission, so a failed relay just drops.
-                            let _ = self.forward_to_remote(ctx, route.ecu, &data);
-                        }
-                    }
-                    Err(err) => self
-                        .pirte
-                        .lock()
-                        .log_warning(format!("malformed device message from {from}: {err}")),
+                // Malformed device traffic is dropped.
+                let Ok((message_id, value)) = decode_device_message(&payload) else {
+                    continue;
+                };
+                let Some(route) = self.route_for_message(&message_id).cloned() else {
+                    continue;
+                };
+                let data = ManagementMessage::ExternalData {
+                    port: route.port,
+                    payload: value,
+                };
+                if route.ecu == self.ecu {
+                    self.handle_local_management(data);
+                } else {
+                    // External data is fire-and-forget: no seq, no
+                    // retransmission, so a failed relay just drops.
+                    let _ = self.forward_to_remote(ctx, route.ecu, &data);
                 }
             }
         }
@@ -608,18 +579,12 @@ impl EcmSwc {
 
     fn poll_remote_swcs(&mut self, ctx: &mut RteContext<'_>) {
         if self.resolved_type_i_in.is_none() {
-            // Resolve once, keeping the configuration index alongside each
-            // id so diagnostics name the right port; a port that fails to
-            // resolve (a configuration error) is reported instead of being
-            // silently dropped.
+            // Resolve once; a port that fails to resolve (a configuration
+            // error) is never polled.
             let mut resolved = Vec::with_capacity(self.config.type_i_in.len());
-            for (index, port) in self.config.type_i_in.iter().enumerate() {
-                match ctx.port_id(port) {
-                    Ok(id) => resolved.push((index, id)),
-                    Err(err) => self
-                        .pirte
-                        .lock()
-                        .log_warning(format!("cannot resolve type I port {port}: {err}")),
+            for port in &self.config.type_i_in {
+                if let Ok(id) = ctx.port_id(port) {
+                    resolved.push(id);
                 }
             }
             self.resolved_type_i_in = Some(resolved);
@@ -627,19 +592,10 @@ impl EcmSwc {
         // Take/restore around the loop: the resolved list cannot stay
         // borrowed while `self` handles the received messages.
         let resolved = self.resolved_type_i_in.take().expect("resolved above");
-        for &(index, port_id) in &resolved {
-            loop {
-                let value = match ctx.receive_by_id(port_id) {
-                    Ok(Some(value)) => value,
-                    Ok(None) => break,
-                    Err(err) => {
-                        let port = &self.config.type_i_in[index];
-                        self.pirte
-                            .lock()
-                            .log_warning(format!("failed to read {port}: {err}"));
-                        break;
-                    }
-                };
+        for &port_id in &resolved {
+            // A read error ends this port's poll for the tick, like an empty
+            // queue.
+            while let Ok(Some(value)) = ctx.receive_by_id(port_id) {
                 match ManagementMessage::from_value(&value) {
                     Ok(message @ ManagementMessage::Ack(_)) => {
                         let encoded: Payload = crate::protocol::encode_uplink(&message).into();
@@ -651,16 +607,8 @@ impl EcmSwc {
                         message_id,
                         payload,
                     }) => self.send_to_device(&message_id, &payload),
-                    Ok(other) => self.pirte.lock().log_warning(format!(
-                        "unexpected uplink message type {}",
-                        other.type_id()
-                    )),
-                    Err(err) => {
-                        let port = &self.config.type_i_in[index];
-                        self.pirte
-                            .lock()
-                            .log_warning(format!("malformed uplink on {port}: {err}"));
-                    }
+                    // Unexpected or malformed uplink traffic is dropped.
+                    Ok(_) | Err(_) => {}
                 }
             }
         }
@@ -672,9 +620,6 @@ impl EcmSwc {
 
     fn send_to_device(&self, message_id: &str, payload: &dynar_foundation::value::Value) {
         let Some(route) = self.route_for_message(message_id) else {
-            self.pirte
-                .lock()
-                .log_warning(format!("no ECC route for outbound message id {message_id}"));
             return;
         };
         let mut hub = self.hub.lock();

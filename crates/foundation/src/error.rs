@@ -10,8 +10,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, DynarError>;
 
@@ -24,7 +22,7 @@ pub type Result<T> = std::result::Result<T, DynarError>;
 /// let err = DynarError::not_found("plugin", "COM");
 /// assert_eq!(err.to_string(), "plugin not found: COM");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DynarError {
     /// A value had a different runtime type than the consumer expected.
     TypeMismatch {

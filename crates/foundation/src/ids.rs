@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an electronic control unit within one vehicle.
 ///
 /// # Example
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ecu.index(), 2);
 /// assert_eq!(ecu.to_string(), "ECU2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EcuId(u16);
 
 impl EcuId {
@@ -53,7 +51,7 @@ impl fmt::Display for EcuId {
 /// assert_eq!(swc.local_index(), 3);
 /// assert_eq!(swc.to_string(), "ECU1/SWC3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwcId {
     ecu: EcuId,
     local: u16,
@@ -95,7 +93,7 @@ impl fmt::Display for SwcId {
 /// assert_eq!(port.swc(), swc);
 /// assert_eq!(port.to_string(), "ECU1/SWC0:S4");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId {
     swc: SwcId,
     index: u16,
@@ -136,7 +134,7 @@ impl fmt::Display for PortId {
 /// assert_eq!(v.index(), 5);
 /// assert_eq!(v.to_string(), "V5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualPortId(u16);
 
 impl VirtualPortId {
@@ -170,7 +168,7 @@ impl fmt::Display for VirtualPortId {
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "P3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PluginPortId(u32);
 
 impl PluginPortId {
@@ -200,7 +198,7 @@ impl fmt::Display for PluginPortId {
 /// assert_eq!(com.name(), "COM");
 /// assert_eq!(com.to_string(), "plugin:COM");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PluginId(String);
 
 impl PluginId {
@@ -236,7 +234,7 @@ impl From<&str> for PluginId {
 /// let app = AppId::new("remote-control");
 /// assert_eq!(app.name(), "remote-control");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(String);
 
 impl AppId {
@@ -271,7 +269,7 @@ impl From<&str> for AppId {
 /// let vin = VehicleId::new("VIN-0001");
 /// assert_eq!(vin.vin(), "VIN-0001");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VehicleId(String);
 
 impl VehicleId {
@@ -306,7 +304,7 @@ impl From<&str> for VehicleId {
 /// let user = UserId::new("alice");
 /// assert_eq!(user.name(), "alice");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(String);
 
 impl UserId {

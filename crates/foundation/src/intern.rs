@@ -31,13 +31,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense index handed out by an [`Interner`].
 ///
 /// Slots are plain `u32`s under the hood; [`Slot::index`] converts to `usize`
 /// for direct `Vec` indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Slot(u32);
 
 impl Slot {
@@ -71,7 +69,7 @@ impl fmt::Display for Slot {
 /// ([`Interner::capacity`]) stays bounded by the high-water mark of live keys
 /// — reconfiguration cycles (install → uninstall → reinstall) do not leak
 /// slots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interner<K> {
     slots: HashMap<K, Slot>,
     /// Dense table: slot index → key (`None` for freed slots).
@@ -158,7 +156,7 @@ impl<K: Eq + Hash + Clone> Interner<K> {
 }
 
 /// A bitset over [`Slot`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotSet {
     words: Vec<u64>,
     len: usize,

@@ -3,8 +3,8 @@
 //! The crate is intentionally small and dependency-light: it defines the
 //! strongly typed identifiers used across ECUs, software components, ports and
 //! plug-ins ([`ids`]), the dynamic signal value model carried over ports
-//! ([`value`]), the deterministic simulation clock ([`time`]), the shared
-//! error type ([`error`]) and a lightweight structured event log ([`log`]).
+//! ([`value`]), the deterministic simulation clock ([`time`]) and the shared
+//! error type ([`error`]).
 //!
 //! # Example
 //!
@@ -30,7 +30,6 @@ pub mod error;
 pub mod ids;
 pub mod intern;
 pub mod journal;
-pub mod log;
 pub mod payload;
 pub mod pool;
 pub mod time;

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, measured in scheduling quanta since start-up.
 ///
 /// # Example
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t1 - t0, 5);
 /// assert!(t1.is_after(t0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(u64);
 
 impl Tick {
@@ -106,7 +102,7 @@ impl From<u64> for Tick {
 /// clock.step_by(4);
 /// assert_eq!(clock.now().as_u64(), 5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Clock {
     now: Tick,
 }

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DynarError;
 
 /// A dynamically typed value carried over SW-C ports, virtual ports and
@@ -24,7 +22,7 @@ use crate::error::DynarError;
 /// assert_eq!(speed.as_f64(), Some(13.5));
 /// assert!(Value::from(true).as_bool().unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// The absence of a value (an un-written port reads as `Void`).
     #[default]

@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::time::Tick;
 
 use crate::event::EventMask;
 use crate::task::TaskId;
 
 /// Identifier of an alarm within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AlarmId(u16);
 
 impl AlarmId {
@@ -37,7 +35,7 @@ impl fmt::Display for AlarmId {
 }
 
 /// What an alarm does when it expires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlarmAction {
     /// Activate the given task.
     ActivateTask(TaskId),
@@ -69,7 +67,7 @@ impl AlarmAction {
 /// assert!(alarm.poll(Tick::new(19)).is_none());
 /// assert!(alarm.poll(Tick::new(20)).is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alarm {
     next_expiry: Tick,
     cycle: Option<u64>,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
 
-use serde::{Deserialize, Serialize};
-
 /// A set of up to 32 events, represented as a bit mask exactly as in OSEK.
 ///
 /// # Example
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(waited.intersects(rx));
 /// assert!(!waited.without(rx | timeout).any());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct EventMask(u32);
 
 impl EventMask {

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::time::Tick;
 
@@ -13,7 +11,7 @@ use crate::resource::{Resource, ResourceId};
 use crate::task::{TaskConfig, TaskControlBlock, TaskId, TaskState};
 
 /// Aggregate scheduling statistics, used by the isolation experiments (E4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Total successful task activations.
     pub activations: u64,
@@ -30,7 +28,7 @@ pub struct KernelStats {
 /// The OSEK-like kernel of one ECU.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Kernel {
     tasks: Vec<TaskControlBlock>,
     names: HashMap<String, TaskId>,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::{TaskId, TaskPriority};
 
 /// Identifier of a resource within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(u16);
 
 impl ResourceId {
@@ -46,7 +44,7 @@ impl fmt::Display for ResourceId {
 /// assert!(!res.try_acquire(TaskId::new(1)), "already held");
 /// assert_eq!(res.release(TaskId::new(0)), Ok(()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
     name: String,
     ceiling: TaskPriority,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventMask;
 
 /// Identifier of a task within one kernel instance.
@@ -13,7 +11,7 @@ use crate::event::EventMask;
 /// use dynar_os::task::TaskId;
 /// assert_eq!(TaskId::new(3).index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u16);
 
 impl TaskId {
@@ -41,9 +39,7 @@ impl fmt::Display for TaskId {
 /// use dynar_os::task::TaskPriority;
 /// assert!(TaskPriority::new(10) > TaskPriority::new(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskPriority(u8);
 
 impl TaskPriority {
@@ -68,7 +64,7 @@ impl fmt::Display for TaskPriority {
 }
 
 /// The OSEK task state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TaskState {
     /// Not activated; the task does not compete for the processor.
     #[default]
@@ -106,7 +102,7 @@ impl fmt::Display for TaskState {
 /// assert!(cfg.is_extended());
 /// assert_eq!(cfg.max_activations(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskConfig {
     name: String,
     priority: TaskPriority,
@@ -161,7 +157,7 @@ impl TaskConfig {
 }
 
 /// The runtime control block the kernel keeps per task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TaskControlBlock {
     pub(crate) config: TaskConfig,
     pub(crate) state: TaskState,

@@ -13,8 +13,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_bus::frame::{CanId, Frame, MAX_PAYLOAD};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::EcuId;
@@ -57,7 +55,7 @@ pub const SEGMENT_DATA: usize = MAX_PAYLOAD - SEGMENT_HEADER;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Segmenter {
     next_message: HashMap<CanId, u16>,
 }
@@ -103,7 +101,7 @@ impl Segmenter {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PartialMessage {
     message: u16,
     total: u16,
@@ -111,7 +109,7 @@ struct PartialMessage {
 }
 
 /// Reassembles frames produced by a [`Segmenter`] back into payloads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Reassembler {
     in_progress: HashMap<CanId, PartialMessage>,
     /// Messages abandoned because a newer message started before they
@@ -188,7 +186,7 @@ impl Reassembler {
 // ---------------------------------------------------------------------------
 
 /// One end of a signal route: a port on a named component of an ECU.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// Hosting ECU.
     pub ecu: EcuId,
@@ -211,7 +209,7 @@ impl Endpoint {
 
 /// One system-level signal route: a sender endpoint, the frame id the signal
 /// travels on, and the receiving endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalRoute {
     /// Human-readable signal name.
     pub name: String,
@@ -243,7 +241,7 @@ pub struct SignalRoute {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SystemMapping {
     routes: Vec<SignalRoute>,
 }

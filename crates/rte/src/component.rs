@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{PortId, SwcId};
 use dynar_foundation::value::Value;
@@ -12,7 +10,7 @@ use crate::port::PortSpec;
 use crate::rte::Rte;
 
 /// What causes a runnable to execute.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Trigger {
     /// The runnable executes every `period` ticks.
     Periodic(u64),
@@ -34,7 +32,7 @@ impl fmt::Display for Trigger {
 }
 
 /// Static description of one runnable entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunnableSpec {
     name: String,
     trigger: Trigger,
@@ -74,7 +72,7 @@ impl RunnableSpec {
 /// assert_eq!(desc.name(), "engine-controller");
 /// assert_eq!(desc.ports().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwcDescriptor {
     name: String,
     ports: Vec<PortSpec>,

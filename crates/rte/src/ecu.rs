@@ -13,7 +13,6 @@ use std::sync::Arc;
 use dynar_bus::frame::CanId;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PortId, SwcId};
-use dynar_foundation::log::{EventLog, Severity};
 use dynar_foundation::time::{Clock, Tick};
 use dynar_foundation::value::Value;
 use dynar_os::kernel::Kernel;
@@ -78,7 +77,6 @@ pub struct Ecu {
     clock: Clock,
     started: bool,
     next_local: u16,
-    log: EventLog,
     behaviour_errors: Vec<(SwcId, String, DynarError)>,
 }
 
@@ -101,7 +99,6 @@ impl Ecu {
             clock: Clock::new(),
             started: false,
             next_local: 0,
-            log: EventLog::new(),
             behaviour_errors: Vec::new(),
         }
     }
@@ -129,11 +126,6 @@ impl Ecu {
     /// Read access to the OS kernel.
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
-    }
-
-    /// The event log of this ECU.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// Drains the behaviour errors recorded since the last call.
@@ -320,7 +312,7 @@ impl Ecu {
     /// trigger evaluation, data-received trigger evaluation and dispatching
     /// of all activated tasks.
     ///
-    /// Behaviour errors are recorded in the log and retrievable through
+    /// Behaviour errors are retrievable through
     /// [`Ecu::take_behaviour_errors`]; they do not abort the step.
     ///
     /// # Errors
@@ -335,12 +327,6 @@ impl Ecu {
                 let entry = &mut self.components[index];
                 let mut ctx = RteContext::new(&mut self.rte, swc);
                 if let Err(err) = entry.behavior.on_start(&mut ctx) {
-                    self.log.record(
-                        self.clock.now(),
-                        Severity::Error,
-                        "ecu",
-                        format!("start-up of {} failed: {err}", entry.name),
-                    );
                     self.behaviour_errors
                         .push((swc, "on_start".to_owned(), err));
                 }
@@ -390,15 +376,6 @@ impl Ecu {
                     entry.behavior.on_runnable(&runnable, &mut ctx)
                 };
                 if let Err(err) = result {
-                    self.log.record(
-                        now,
-                        Severity::Error,
-                        "ecu",
-                        format!(
-                            "runnable {runnable} of {} failed: {err}",
-                            self.components[index].name
-                        ),
-                    );
                     self.behaviour_errors
                         .push((swc, runnable.as_ref().to_owned(), err));
                 }
@@ -551,7 +528,6 @@ mod tests {
         ecu.run(3).unwrap();
         let errors = ecu.take_behaviour_errors();
         assert_eq!(errors.len(), 3);
-        assert!(ecu.log().count_at_least(Severity::Error) >= 3);
         assert!(ecu.take_behaviour_errors().is_empty(), "drained");
     }
 

@@ -3,13 +3,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::value::Value;
 
 /// Whether a port produces data for the system or expects data from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {
     /// The SW-C writes on this port (a `PPort` in AUTOSAR terms).
     Provided,
@@ -38,7 +36,7 @@ impl fmt::Display for PortDirection {
 }
 
 /// The interaction scheme implemented by a port (paper §2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PortInterface {
     /// Last-is-best sender–receiver communication: a read returns the most
     /// recently written value.
@@ -76,7 +74,7 @@ impl PortInterface {
 /// assert_eq!(spec.name(), "install");
 /// assert_eq!(spec.direction(), PortDirection::Required);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortSpec {
     name: String,
     direction: PortDirection,
@@ -136,7 +134,7 @@ impl PortSpec {
 }
 
 /// The runtime buffer behind one port instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PortBuffer {
     /// Last-is-best storage.
     LastIsBest { value: Value, updated: bool },

@@ -18,8 +18,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_bus::frame::CanId;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{PortId, SwcId};
@@ -30,7 +28,7 @@ use crate::component::SwcDescriptor;
 use crate::port::{check_connectable, PortBuffer, PortDirection, PortSpec};
 
 /// Counters describing the signal traffic through one RTE instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RteStats {
     /// Writes issued by component behaviours.
     pub writes: u64,
@@ -46,7 +44,7 @@ pub struct RteStats {
     pub queue_overflows: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PortRuntime {
     id: PortId,
     spec: PortSpec,
@@ -59,7 +57,7 @@ struct PortRuntime {
 /// their ports, routes written values to locally connected ports and queues
 /// values bound for other ECUs as `(frame id, value)` pairs for the
 /// communication stack to pick up.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Rte {
     components: HashMap<SwcId, SwcDescriptor>,
     /// SW-C -> port name -> port id.  Nested (rather than keyed by a

@@ -7,10 +7,8 @@
 //! transfers the *whole* application image of every affected ECU, requires
 //! the vehicle to be stationary at a service point and reboots each ECU.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the re-flash deployment model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReflashBaseline {
     /// Size of a full ECU application image in KiB.
     pub image_size_kb: u64,

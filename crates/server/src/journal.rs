@@ -127,6 +127,12 @@ fn malformed(what: &str) -> DynarError {
     DynarError::ProtocolViolation(format!("malformed journal record: {what}"))
 }
 
+/// The `[tag, state]` list of a snapshot record, built around `state`
+/// without copying it (compaction hands over the whole server state).
+fn snapshot_value(state: Value) -> Value {
+    Value::List(vec![Value::I64(TAG_SNAPSHOT), state])
+}
+
 fn text<'a>(value: &'a Value, what: &str) -> Result<&'a str> {
     value.as_text().ok_or_else(|| malformed(what))
 }
@@ -152,9 +158,7 @@ impl JournalRecord {
             ])
         };
         match self {
-            JournalRecord::Snapshot(state) => {
-                Value::List(vec![Value::I64(TAG_SNAPSHOT), state.clone()])
-            }
+            JournalRecord::Snapshot(state) => snapshot_value(state.clone()),
             JournalRecord::CreateUser(user) => Value::List(vec![
                 Value::I64(TAG_CREATE_USER),
                 Value::Text(user.name().to_owned()),
@@ -529,7 +533,7 @@ impl Journal {
     /// Replaces the whole buffer with a single snapshot frame of `state`.
     pub(crate) fn compact(&mut self, state: Value) {
         self.buffer.clear();
-        let payload = codec::encode_value(&JournalRecord::Snapshot(state).to_value());
+        let payload = codec::encode_value(&snapshot_value(state));
         append_frame(&mut self.buffer, &payload);
         self.records_since_snapshot = 0;
         if let Some(sink) = &mut self.sink {

@@ -1,14 +1,12 @@
 //! The trusted server's data model (Figure 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, VirtualPortId};
 
 use dynar_core::plugin::PluginPortDirection;
 
 /// Hardware description of one ECU, uploaded by the OEM (`HW Conf`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcuHw {
     /// The ECU identifier within the vehicle.
     pub ecu: EcuId,
@@ -17,7 +15,7 @@ pub struct EcuHw {
 }
 
 /// The hardware configuration of one vehicle (`HW Conf` module).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HwConf {
     /// The ECUs available to host plug-ins.
     pub ecus: Vec<EcuHw>,
@@ -46,7 +44,7 @@ impl HwConf {
 /// configuration.  Type II declarations carry the peer ECU the port pair
 /// leads to, which the context generator needs to resolve remote plug-in
 /// connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VirtualPortKindDecl {
     /// Towards the ECM.
     TypeI,
@@ -60,7 +58,7 @@ pub enum VirtualPortKindDecl {
 }
 
 /// One virtual port exposed by a plug-in SW-C (`SystemSW Conf`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualPortDecl {
     /// The virtual-port id used in generated PLCs.
     pub id: VirtualPortId,
@@ -71,7 +69,7 @@ pub struct VirtualPortDecl {
 }
 
 /// One plug-in SW-C available in a vehicle (`SystemSW Conf`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PluginSwcDecl {
     /// The ECU hosting the SW-C.
     pub ecu: EcuId,
@@ -85,7 +83,7 @@ pub struct PluginSwcDecl {
 
 /// The built-in software configuration of one vehicle model
 /// (`SystemSW Conf` module).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SystemSwConf {
     /// The vehicle model this configuration describes.
     pub model: String,
@@ -121,7 +119,7 @@ impl SystemSwConf {
 }
 
 /// One port declared by a plug-in developer for their plug-in.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PluginPortDecl {
     /// The developer-chosen port name.
     pub name: String,
@@ -130,7 +128,7 @@ pub struct PluginPortDecl {
 }
 
 /// One plug-in binary stored in the server's `APP` database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PluginArtifact {
     /// The plug-in identifier.
     pub id: PluginId,
@@ -141,7 +139,7 @@ pub struct PluginArtifact {
 }
 
 /// Where a plug-in should run in a particular vehicle model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The plug-in being placed.
     pub plugin: PluginId,
@@ -150,7 +148,7 @@ pub struct Placement {
 }
 
 /// How one plug-in port should be connected in a particular vehicle model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnectionDecl {
     /// The PIRTE communicates with the port directly (no virtual port).
     Direct,
@@ -178,7 +176,7 @@ pub enum ConnectionDecl {
 }
 
 /// One port-connection declaration inside a [`SwConf`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortConnection {
     /// The plug-in owning the port.
     pub plugin: PluginId,
@@ -190,7 +188,7 @@ pub struct PortConnection {
 
 /// One deployment description for an application on one vehicle model
 /// (`SW conf` module).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwConf {
     /// The vehicle model this configuration applies to.
     pub model: String,
@@ -255,7 +253,7 @@ impl SwConf {
 /// An application uploaded by a developer: plug-in binaries plus one
 /// deployment description per supported vehicle model, dependencies and
 /// conflicts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppDefinition {
     /// The application identifier.
     pub id: AppId,

@@ -8,8 +8,6 @@
 //! how deep its stack may grow, how many locals it may use and how many bytes
 //! of values it may hold alive.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource limits applied to one plug-in virtual machine instance.
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tight.instructions_per_slot(), 100);
 /// assert_eq!(tight.max_stack(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
     instructions_per_slot: u64,
     max_stack: usize,

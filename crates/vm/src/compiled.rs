@@ -25,8 +25,6 @@
 //! [`crate::shadow`] engine runs both planes in lock-step and asserts the
 //! equivalence on live traffic.
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::value::Value;
 
@@ -188,7 +186,7 @@ impl Fused {
 
 /// Per-kind execution counters for the superinstructions, proving the
 /// peephole pass actually fires on real workloads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionCounters {
     /// `load+push_int+<arith>+store` windows executed (or planted).
     pub load_arith_store: u64,
@@ -325,7 +323,7 @@ fn plan_superinstructions(ops: &[Op]) -> (Vec<Option<Fused>>, FusionCounters) {
 /// A program pre-decoded for the fast plane: flat ops, a flat constant
 /// pool, and the superinstruction overlay.  Produced once at install time
 /// by [`CompiledProgram::compile`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     source: Program,
     constants: Vec<Value>,
@@ -382,7 +380,7 @@ impl CompiledProgram {
 ///
 /// Mirrors [`crate::interpreter::Vm`] observable-for-observable; see the
 /// module docs for the equivalence guarantee.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompiledVm {
     program: CompiledProgram,
     budget: Budget,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::value::Value;
 
@@ -50,7 +48,7 @@ pub trait PortHost {
 }
 
 /// The execution state of a plug-in virtual machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmStatus {
     /// Ready to execute (or resume) its program.
     #[default]
@@ -79,7 +77,7 @@ impl fmt::Display for VmStatus {
 }
 
 /// What happened during one execution slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotReport {
     /// Instructions executed in this slot.
     pub instructions: u64,
@@ -91,7 +89,7 @@ pub struct SlotReport {
 /// execution state.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vm {
     program: Program,
     budget: Budget,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One instruction of the plug-in virtual machine.
 ///
 /// The machine is stack-based: most instructions pop their operands from the
 /// value stack and push their result.  Ports are addressed by *slot* numbers,
 /// which the Port Initialization Context maps to SW-C-scope unique plug-in
 /// port ids at installation time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// Does nothing.
     Nop,

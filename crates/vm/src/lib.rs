@@ -15,15 +15,14 @@
 //!   can be written readably;
 //! * [`budget`] — per-slot instruction and memory budgets (the best-effort
 //!   scheme);
-//! * [`interpreter`] — the reference [`interpreter::Vm`] (the slow plane)
-//!   and the [`interpreter::PortHost`] trait the PIRTE implements;
-//! * [`compiled`] — the fast plane: install-time pre-decode into a dense
-//!   [`compiled::CompiledProgram`] with a superinstruction overlay,
-//!   executed by [`compiled::CompiledVm`];
-//! * [`shadow`] — lock-step shadow execution proving the two planes
-//!   observably identical on live traffic;
-//! * [`engine`] — [`engine::Engine`]/[`engine::ExecMode`], the per-plug-in
-//!   plane selection the PIRTE instantiates through.
+//! * [`compiled`] — the machine every plug-in runs on: install-time
+//!   pre-decode into a dense [`compiled::CompiledProgram`] with a
+//!   superinstruction overlay, executed by [`compiled::CompiledVm`];
+//! * [`interpreter`] — the reference [`interpreter::Vm`] the compiled
+//!   machine is checked against, and the [`interpreter::PortHost`] trait
+//!   the PIRTE implements;
+//! * [`shadow`] — lock-step shadow execution of both machines, asserting
+//!   they are observably identical (used by the equivalence tests).
 //!
 //! # Example
 //!
@@ -79,7 +78,6 @@
 pub mod assembler;
 pub mod budget;
 pub mod compiled;
-pub mod engine;
 mod exec;
 pub mod interpreter;
 pub mod isa;
@@ -89,7 +87,6 @@ pub mod shadow;
 pub use assembler::{assemble, disassemble};
 pub use budget::Budget;
 pub use compiled::{CompiledProgram, CompiledVm, FusionCounters};
-pub use engine::{Engine, ExecMode};
 pub use interpreter::{PortHost, SlotReport, Vm, VmStatus};
 pub use isa::Instruction;
 pub use program::Program;

@@ -5,8 +5,6 @@
 //! plus a code section.  The binary format is deliberately simple and
 //! versioned so that a vehicle can reject packages built for a newer format.
 
-use serde::{Deserialize, Serialize};
-
 use dynar_foundation::codec::{decode_prefix, encode_into};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::value::Value;
@@ -35,7 +33,7 @@ pub const FORMAT_VERSION: u8 = 1;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     name: String,
     constants: Vec<Value>,

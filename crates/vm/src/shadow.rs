@@ -9,10 +9,7 @@
 //! instruction counts, plus the exact sequence of port reads/takes/writes
 //! and log lines.  Any divergence panics with a diagnostic naming the
 //! program and the mismatching field — the `routing_equivalence`-style
-//! proof, applied to the execution plane and runnable in production via
-//! [`crate::engine::ExecMode::Shadow`].
-
-use serde::{Deserialize, Serialize};
+//! proof, applied to the execution plane by the equivalence tests.
 
 use dynar_foundation::error::Result;
 use dynar_foundation::value::Value;
@@ -166,7 +163,7 @@ impl PortHost for ReplayHost<'_> {
 
 /// Both execution planes in lock-step, asserting observable equivalence
 /// after every slot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShadowVm {
     fast: CompiledVm,
     reference: Vm,

@@ -22,12 +22,18 @@
 //!   loop (fused superinstructions on the fast plane) runs whole slots
 //!   without allocating: pre-decoded ops, pre-resolved constants and a
 //!   steady-state stack leave nothing to allocate per instruction.
+//! * **Management churn** — once the gateways' dedup windows are full, a
+//!   fleet that installs and uninstalls an app over and over retains the
+//!   same heap at the same point of every cycle: no per-vehicle structure
+//!   grows with management traffic.
 
+use dynar::ecm::gateway::DEDUP_WINDOW;
 use dynar::fes::transport::{TransportConfig, TransportHub};
+use dynar::foundation::ids::AppId;
 use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::fleet::{FleetScenario, SENSOR_PERIOD};
+use dynar::sim::scenario::fleet::{FleetScenario, WaveOp, APP_TELEMETRY, SENSOR_PERIOD};
 use dynar::vm::{assemble, Budget, CompiledVm, VmStatus};
 use dynar_bench::CountingAllocator;
 
@@ -174,9 +180,57 @@ fn warm_compiled_slot_is_allocation_free() {
     assert_eq!(vm.status(), VmStatus::Preempted);
 }
 
+/// Install→uninstall cycles measured after the warm-up.
+const CHURN_CYCLES: usize = 100;
+
+fn retained_heap_is_flat_under_management_churn() {
+    let mut scenario = FleetScenario::build(2).expect("fleet builds");
+    let vehicles = scenario.fleet.vehicle_ids().to_vec();
+    let app = AppId::new(APP_TELEMETRY);
+    // One cycle installs the app fleet-wide and uninstalls it again; the
+    // sample point is after the uninstall settled, when no plug-in holds a
+    // port id (installed plug-ins widen the PIRTE's direct port table).
+    let cycle = |scenario: &mut FleetScenario| {
+        for op in [WaveOp::Deploy, WaveOp::Uninstall] {
+            let (reached, failed) = scenario.wave(op, &app, &vehicles, 600).expect("wave");
+            assert_eq!((reached.len(), failed), (vehicles.len(), 0), "{op:?}");
+        }
+    };
+    // Warm-up: every gateway's dedup window fills up (one sequence id per
+    // pushed package) and every reused buffer reaches its working size.
+    loop {
+        cycle(&mut scenario);
+        let ledger = scenario.fleet.server.ledger();
+        let pushed = ledger.installs_pushed + ledger.uninstalls_pushed;
+        if pushed / vehicles.len() as u64 > DEDUP_WINDOW {
+            break;
+        }
+    }
+
+    // Bytes retained since the warm-up, sampled at the end of each cycle.
+    let mut retained = Vec::with_capacity(CHURN_CYCLES);
+    let mut total = 0;
+    for _ in 0..CHURN_CYCLES {
+        let (bytes, ()) = CountingAllocator::retained(|| cycle(&mut scenario));
+        total += bytes;
+        retained.push(total);
+    }
+    // Sliding windows free and allocate whole nodes, so the samples wobble
+    // by a node or two; what must not happen is a drift upwards.
+    let (early, late) = retained.split_at(CHURN_CYCLES / 2);
+    let early_peak = early.iter().copied().max().expect("samples");
+    let late_peak = late.iter().copied().max().expect("samples");
+    assert!(
+        late_peak <= early_peak,
+        "the heap retained after each settled uninstall grew from a peak of {early_peak} B to \
+         {late_peak} B (bytes retained since the warm-up, per cycle: {retained:?})"
+    );
+}
+
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
     quiescent_fleet_tick_is_allocation_free();
     warm_compiled_slot_is_allocation_free();
+    retained_heap_is_flat_under_management_churn();
 }

@@ -7,8 +7,9 @@
 //!
 //! 1. every scenario-style program runs in lock-step shadow mode
 //!    ([`ShadowVm`] panics on any divergence),
-//! 2. a whole PIRTE runs the same traffic under all three [`ExecMode`]s and
-//!    must produce identical routed outputs and stats,
+//! 2. a whole PIRTE runs the same traffic as the reference interpreter
+//!    [`Vm`] over the fake host and must actuate the same values with the
+//!    same instruction count,
 //! 3. a fixed-seed sweep of random programs under adversarially tight
 //!    budgets (tiny slots, tiny stacks, tiny memory, missing ports) runs in
 //!    shadow mode — the same proof the routing plane got in its
@@ -25,7 +26,7 @@ use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, VirtualPortId
 use dynar::foundation::value::Value;
 use dynar::vm::isa::Instruction;
 use dynar::vm::program::Program;
-use dynar::vm::{assemble, Budget, ExecMode, PortHost, ShadowVm};
+use dynar::vm::{assemble, Budget, PortHost, ShadowVm, Vm};
 
 // ---------------------------------------------------------------------------
 // A deterministic host fake (mirrors the vm crate's test host).
@@ -205,12 +206,11 @@ fn scenario_programs_shadow_execute_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. A whole PIRTE under all three execution modes.
+// 2. A whole PIRTE against the reference interpreter.
 // ---------------------------------------------------------------------------
 
-fn swc_config(mode: ExecMode) -> PluginSwcConfig {
+fn swc_config() -> PluginSwcConfig {
     PluginSwcConfig::new("plugin-swc")
-        .with_exec_mode(mode)
         .with_virtual_port(VirtualPortSpec::new(
             VirtualPortId::new(4),
             "WheelsReq",
@@ -266,44 +266,51 @@ fn doubler_package(name: &str) -> InstallationPackage {
 }
 
 #[test]
-fn pirte_routes_identically_under_all_exec_modes() {
-    let modes = [ExecMode::Interpreter, ExecMode::Compiled, ExecMode::Shadow];
-    let mut outboxes = Vec::new();
-    let mut stats = Vec::new();
-    for mode in modes {
-        let mut pirte = Pirte::new(EcuId::new(2), swc_config(mode));
-        pirte.install(doubler_package("dbl")).unwrap();
-        let mut outbox = Vec::new();
-        for tick in 0..20i64 {
-            if tick % 2 == 0 {
-                pirte
-                    .dispatch_swc_input("speed_prov", Value::I64(tick))
-                    .unwrap();
-            }
-            pirte.run_plugins();
-            outbox.extend(pirte.drain_outbox());
+fn pirte_actuates_like_the_reference_interpreter() {
+    let package = doubler_package("dbl");
+    let mut reference = Vm::new(
+        Program::from_bytes(&package.binary).unwrap(),
+        Budget::default(),
+    );
+    let mut host = FakeHost::new(2);
+    let mut pirte = Pirte::new(EcuId::new(2), swc_config());
+    pirte.install(package).unwrap();
+    let mut actuated = 0;
+    for tick in 0..20i64 {
+        if tick % 2 == 0 {
+            pirte
+                .dispatch_swc_input("speed_prov", Value::I64(tick))
+                .unwrap();
+            host.slots[0].push(Value::I64(tick));
         }
-        outboxes.push(outbox);
-        stats.push(pirte.stats());
-        // Fused windows must actually execute on the fast planes.
-        if mode == ExecMode::Interpreter {
-            assert_eq!(pirte.fusion_counters().total(), 0);
-        } else {
-            assert!(
-                pirte.fusion_counters().push_int_cmp_branch > 0,
-                "loop-guard fusion should fire under {mode}"
-            );
-        }
+        pirte.run_plugins();
+        reference.run_slot(&mut host).unwrap();
+        let routed: Vec<(String, Value)> = pirte.drain_outbox();
+        let expected: Vec<(String, Value)> = host
+            .written
+            .drain(..)
+            .map(|(slot, value)| {
+                assert_eq!(slot, 1, "the doubler writes only its out port");
+                ("wheels_req".to_owned(), value)
+            })
+            .collect();
+        assert_eq!(routed, expected, "actuated values at tick {tick}");
+        actuated += routed.len();
     }
-    assert_eq!(outboxes[0], outboxes[1], "interpreter vs compiled outbox");
-    assert_eq!(outboxes[0], outboxes[2], "interpreter vs shadow outbox");
-    assert_eq!(stats[0], stats[1], "interpreter vs compiled stats");
-    assert_eq!(stats[0], stats[2], "interpreter vs shadow stats");
+    assert_eq!(actuated, 10, "every input was doubled onto the actuator");
+    let stats = pirte.stats();
+    assert_eq!(stats.instructions_executed, reference.total_instructions());
+    assert_eq!(stats.slots_granted, reference.slots_run());
+    // Fused windows must actually execute in the PIRTE.
+    assert!(
+        pirte.fusion_counters().push_int_cmp_branch > 0,
+        "loop-guard fusion should fire"
+    );
 }
 
 #[test]
 fn pirte_forwarder_fires_port_superinstructions() {
-    let mut pirte = Pirte::new(EcuId::new(2), swc_config(ExecMode::Compiled));
+    let mut pirte = Pirte::new(EcuId::new(2), swc_config());
     let binary = assemble(
         "fwd",
         r#"
